@@ -20,8 +20,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import FactoredInteger, primes_up_to, smallest_prime_factor, unit_group
-from .kummer import KummerClass, discriminant, is_irreducible
+from .arith import FactoredInteger, factor, primes_up_to, smallest_prime_factor, unit_group
+from .kummer import KummerClass, is_irreducible, wild_exponent
 
 __all__ = [
     "CountLadder",
@@ -105,19 +105,6 @@ class LadderSpec:
 # mu_n enumeration
 
 
-def _measure(cls: KummerClass, ordering: str):
-    if ordering == "disc_exact":
-        return discriminant(cls, "exact").value.abs_value
-    if ordering == "disc_tame":
-        return discriminant(cls, "tame").value.abs_value
-    if ordering == "darda":
-        mode = "exact" if cls.n in (2, 3) else "tame"
-        d = discriminant(cls, mode).value.abs_value
-        n, r = cls.n, cls.r
-        return d ** (1.0 / (n * n - n * n // r))
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
 def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     """Largest |disc| compatible with measure <= Bmax."""
     if ordering in ("disc_exact", "disc_tame"):
@@ -152,31 +139,38 @@ def enumerate_mu(
         return
     r = smallest_prime_factor(n)
     min_exp = n - n // r
-    wild_primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime_small(p)})
+    wild_primes = [p for p, _ in factor(n).factors]
     signs = (1,) if n % 2 else (1, -1)
     prime_cap = int(disc_bound ** (1.0 / min_exp)) + 2
     tame_primes = [p for p in primes_up_to(prime_cap) if n % p]
+    # exact wild exponents exist for n in {2, 3}, whose one wild prime is n
+    exact = ordering == "disc_exact" or (ordering == "darda" and n in (2, 3))
+    darda_exp = 1.0 / (n * n - n * n // r)
 
-    # all wild exponent patterns (including absence, exponent 0)
-    wild_patterns: list[tuple[tuple[int, int], ...]] = [()]
+    # all wild exponent patterns (including absence, exponent 0), each with
+    # its integer value and its valuation at the prime n
+    wild: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(1, 0, ())]
     for p in wild_primes:
-        wild_patterns = [
-            pat + (((p, e),) if e else ())
-            for pat in wild_patterns
+        wild = [
+            (w * p**e, e if p == n else v, pat + (((p, e),) if e else ()))
+            for w, v, pat in wild
             for e in range(n)
         ]
 
-    def emit(tame_factors: tuple[tuple[int, int], ...]):
-        for pat in wild_patterns:
-            base = tuple(sorted(pat + tame_factors))
+    def emit(tame_a: int, tame_disc: int, tame_factors: tuple[tuple[int, int], ...]):
+        for w, v, pat in wild:
             for sign in signs:
-                cls = KummerClass(n, FactoredInteger(sign, base))
-                m = _measure(cls, ordering)
+                d = tame_disc
+                if exact:
+                    d *= n ** wild_exponent(n, sign * w * tame_a, v)
+                m = d ** darda_exp if ordering == "darda" else d
                 if m <= Bmax:
-                    yield cls, m
+                    base = FactoredInteger(sign, tuple(sorted(pat + tame_factors)))
+                    yield KummerClass(n, base), m
 
-    def rec(start_idx: int, tame_disc: int, factors: tuple[tuple[int, int], ...]):
-        yield from emit(factors)
+    def rec(start_idx: int, tame_a: int, tame_disc: int,
+            factors: tuple[tuple[int, int], ...]):
+        yield from emit(tame_a, tame_disc, factors)
         for i in range(start_idx, len(tame_primes)):
             p = tame_primes[i]
             if tame_disc * p**min_exp > disc_bound:
@@ -185,11 +179,12 @@ def enumerate_mu(
                 contrib = p ** (n - math.gcd(e, n))
                 if tame_disc * contrib > disc_bound:
                     continue
-                yield from rec(i + 1, tame_disc * contrib, factors + ((p, e),))
+                yield from rec(i + 1, tame_a * p**e, tame_disc * contrib,
+                               factors + ((p, e),))
 
     # partition key: index of the smallest tame support prime (empty -> 0)
     if part is None or part[0] % part[1] == 0:
-        yield from emit(())
+        yield from emit(1, 1, ())
     for i, p in enumerate(tame_primes):
         if p**min_exp > disc_bound:
             break
@@ -199,11 +194,7 @@ def enumerate_mu(
             contrib = p ** (n - math.gcd(e, n))
             if contrib > disc_bound:
                 continue
-            yield from rec(i + 1, contrib, ((p, e),))
-
-
-def _is_prime_small(p: int) -> bool:
-    return p > 1 and all(p % q for q in range(2, int(math.isqrt(p)) + 1))
+            yield from rec(i + 1, p**e, contrib, ((p, e),))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ __all__ = [
     "is_irreducible",
     "tame_local",
     "wild_local",
+    "wild_exponent",
     "discriminant",
 ]
 
@@ -174,20 +175,19 @@ def tame_local(cls: KummerClass, p: int) -> LocalDiscData:
     return LocalDiscData(p, "tame", cls.n - d, cls.n - d, tame_d=d)
 
 
-def _wild_exponent_exact(cls: KummerClass, p: int) -> int:
-    n, a = cls.n, cls.a
+def wild_exponent(n: int, a: int, v: int) -> int:
+    """Exact exponent of the wild prime p = n in |disc| for n in {2, 3}.
+
+    ``a`` is the signed canonical integer and ``v = v_p(a)``.
+    """
     if n == 2:
         # quadratic field/etale algebra: disc = a if a = 1 mod 4, else 4a;
         # for even a the factor v_2(a) = 1 of a is folded in here as well.
-        if a.value % 4 == 1:
-            return 0
-        return 2 + a.valuation(2)
+        return 0 if a % 4 == 1 else 2 + v
     # n == 3, cube-free a = h k^2: |disc| = 3 h^2 k^2 if a^2 = 1 mod 9,
     # else 27 h^2 k^2; the 3-part of h^2 k^2 (3 divides hk at most once)
     # is folded in when 3 | a.
-    if a.value**2 % 9 == 1:
-        return 1
-    return 3 + (2 if a.valuation(3) else 0)
+    return 1 if a * a % 9 == 1 else 3 + (2 if v else 0)
 
 
 def wild_local(cls: KummerClass, p: int, mode: str = "exact") -> LocalDiscData:
@@ -199,7 +199,7 @@ def wild_local(cls: KummerClass, p: int, mode: str = "exact") -> LocalDiscData:
             raise ValueError(
                 f"exact wild exponents supported only for n in {EXACT_WILD_DEGREES}"
             )
-        e = _wild_exponent_exact(cls, p)
+        e = wild_exponent(cls.n, cls.a.value, cls.a.valuation(p))
         return LocalDiscData(p, "wild", e, e)
     if mode == "interval":
         bound = cls.n * _val(cls.n, p) + (cls.n - 1) * cls.a.valuation(p)

@@ -5,7 +5,10 @@ Dedekind index criterion applied to t^n - a over F_p, irreducibility comes
 from numerically expanding subset products of the exact complex roots and
 certifying near-integer factors by exact division over Z, and permutation
 groups come from a plain breadth-first closure and brute-force conjugation
-on image tuples.
+on image tuples.  The one exception is ``census_measure``, the slow path
+that measures a census class through the library's assembled
+``discriminant()``; the integer kernel of ``enumerate_mu`` is checked
+against it.
 """
 
 from __future__ import annotations
@@ -301,3 +304,25 @@ def conjugacy_partition(
 def group_exponent(elements: list[tuple[int, ...]]) -> int:
     """The lcm of the element orders."""
     return math.lcm(*(math.lcm(*_cycle_lengths(g)) for g in elements))
+
+
+# ---------------------------------------------------------------------------
+# census measures
+
+
+def census_measure(cls, ordering: str):
+    """Measure of a Kummer class under a census ordering, by building the
+    full ``discriminant()`` of the class: an int for the disc orderings, a
+    float for darda."""
+    from stacky.kummer import discriminant
+
+    if ordering == "disc_exact":
+        return discriminant(cls, "exact").value.abs_value
+    if ordering == "disc_tame":
+        return discriminant(cls, "tame").value.abs_value
+    if ordering == "darda":
+        mode = "exact" if cls.n in (2, 3) else "tame"
+        d = discriminant(cls, mode).value.abs_value
+        n, r = cls.n, cls.r
+        return d ** (1.0 / (n * n - n * n // r))
+    raise ValueError(f"unknown ordering {ordering!r}")

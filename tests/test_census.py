@@ -2,9 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import census_measure
 from stacky.arith import factor, primes_up_to
 from stacky.census import (
+    ORDERINGS,
     CountLadder,
     LadderSpec,
     count,
@@ -73,6 +77,54 @@ def test_enumerate_mu_partitions_tile_the_stream():
     merged = sorted(v for part in parts for v in part)
     assert merged == whole
     assert sum(len(p) for p in parts) == len(set(merged))
+
+
+# (n, ordering) -> Bmax holding a few thousand classes or fewer, wild
+# patterns and both signs included
+MU_BOUNDS = {
+    (2, "disc_exact"): 2e4, (3, "disc_exact"): 3e6,
+    (2, "disc_tame"): 1e4, (3, "disc_tame"): 3e5, (4, "disc_tame"): 1e6,
+    (5, "disc_tame"): 1e8, (6, "disc_tame"): 3e6, (7, "disc_tame"): 1e10,
+    (8, "disc_tame"): 1e9, (9, "disc_tame"): 1e10, (10, "disc_tame"): 3e9,
+    (11, "disc_tame"): 1e12, (12, "disc_tame"): 1e9,
+    (2, "darda"): 100, (3, "darda"): 8, (4, "darda"): 4, (5, "darda"): 2,
+    (6, "darda"): 2.5, (7, "darda"): 1.7, (8, "darda"): 2, (9, "darda"): 1.7,
+    (10, "darda"): 1.5, (11, "darda"): 1.3, (12, "darda"): 1.4,
+}
+
+
+@pytest.mark.parametrize("n,ordering", sorted(MU_BOUNDS))
+def test_enumerate_mu_measures_match_discriminant_oracle(n, ordering):
+    bmax = MU_BOUNDS[n, ordering]
+    for part in (None, (1, 3)):
+        emitted = 0
+        for cls, m in enumerate_mu(n, bmax, ordering, part=part):
+            want = census_measure(cls, ordering)
+            assert (m, type(m)) == (want, type(want)), (cls, m, want)
+            assert want <= bmax
+            emitted += 1
+        assert emitted
+
+
+@st.composite
+def _tiling_cases(draw):
+    n = draw(st.integers(2, 12))
+    ordering = draw(st.sampled_from([o for o in ORDERINGS if (n, o) in MU_BOUNDS]))
+    bmax = MU_BOUNDS[n, ordering] ** draw(st.floats(0.0, 1.0))
+    return n, ordering, bmax, draw(st.integers(1, 4))
+
+
+@given(_tiling_cases())
+def test_enumerate_mu_partitions_tile_the_stream_property(case):
+    n, ordering, bmax, nparts = case
+
+    def stream(part):
+        return [(cls.a.value, m) for cls, m in enumerate_mu(n, bmax, ordering, part=part)]
+
+    whole = stream(None)
+    parts = [item for w in range(nparts) for item in stream((w, nparts))]
+    assert len({a for a, _ in whole}) == len(whole)
+    assert sorted(parts) == sorted(whole)
 
 
 def test_enumerate_mu_validation():
