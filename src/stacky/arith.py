@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "FactoredInteger",
     "CyclotomicSignature",
@@ -23,6 +25,7 @@ __all__ = [
     "cyclotomic_image",
     "smallest_prime_factor",
     "primes_up_to",
+    "sieve",
 ]
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -335,3 +338,27 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, b in enumerate(sieve) if b]
+
+
+def sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest prime factor and Mobius function of 0..limit, as numpy arrays.
+
+    Only the primes p <= isqrt(limit) are sieved.  Dividing each of them out
+    of a squarefree m once leaves 1 or a single larger prime, which flips
+    mu(m) and is spf(m) when no sieved prime divides m.  spf[0] = 0,
+    spf[1] = 1 and mu[0] = 0.
+    """
+    dtype = np.int32 if limit < 2**31 else np.int64
+    spf = np.zeros(limit + 1, dtype=dtype)
+    mu = np.ones(limit + 1, dtype=np.int8)
+    rest = np.arange(limit + 1, dtype=dtype)
+    # descending, so the smallest prime writes spf last
+    for p in reversed(primes_up_to(math.isqrt(limit))):
+        spf[p::p] = p
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        rest[p::p] //= p
+    np.negative(mu, out=mu, where=rest > 1)
+    np.copyto(spf, rest, where=spf == 0)
+    mu[0] = 0
+    return spf, mu

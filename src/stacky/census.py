@@ -5,8 +5,9 @@ Two enumerators are provided: ``enumerate_mu`` walks canonical Kummer
 classes by recursion over squarefree supports with tame-discriminant
 pruning, and ``enumerate_cyclic`` walks cyclic degree-n fields via
 characters of (Z/fZ)^x and the conductor-discriminant formula.  ``count``
-routes ladder targets to closed-form or sieve-based counters where the
-scale demands it and falls back to the streaming enumerators otherwise.
+looks each ladder target up in ``FAST_COUNTERS``, closed-form counters on
+numpy arrays from ``arith.sieve``, and streams the enumerators for every
+other target.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import FactoredInteger, factor, primes_up_to, smallest_prime_factor, unit_group
+from .arith import FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor, unit_group
 from .kummer import KummerClass, is_irreducible, wild_exponent
 
 __all__ = [
@@ -211,7 +212,7 @@ class CyclicField:
     disc: int
 
 
-def _unit_components(f: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
+def _unit_components(f: int, spf: list[int]) -> list[tuple[int, int]]:
     """Cyclic decomposition of (Z/fZ)^x as (p, order) components.
 
     Odd p^k contributes one cyclic factor of order phi(p^k); 4 contributes
@@ -220,7 +221,7 @@ def _unit_components(f: int, spf: list[int] | None = None) -> list[tuple[int, in
     comps = []
     m = f
     while m > 1:
-        p = spf[m] if spf else smallest_prime_factor(m)
+        p = spf[m]
         k = 0
         while m % p == 0:
             m //= p
@@ -289,7 +290,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     fmax = int(Bmax ** (1.0 / phi_n) + 1e-9)
     if fmax < 3:
         return
-    spf = _spf_sieve(fmax)
+    spf = sieve(fmax)[0].tolist()
     aut = [u % n for u in unit_group(n)]
     for f in range(3, fmax + 1):
         comps = _unit_components(f, spf)
@@ -332,45 +333,39 @@ def _product(choices: list[list[int]]):
             yield (head,) + tail
 
 
-def _spf_sieve(limit: int) -> list[int]:
-    spf = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
 # ---------------------------------------------------------------------------
-# fast counters
+# fast counters: exact counts for every rung at once, from one sieve
 
 
-def _mobius_up_to(limit: int) -> np.ndarray:
-    mu = np.ones(limit + 1, dtype=np.int8)
-    primes = primes_up_to(limit)
-    for p in primes:
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    mu[0] = 0
-    return mu
+def _prime_rounds(values: np.ndarray, spf: np.ndarray) -> Iterator[np.ndarray]:
+    """The prime factors of each value, one array per round: round j holds
+    every value's j-th smallest prime (with multiplicity), or 1 once it has
+    none left."""
+    rest = values
+    while (rest > 1).any():
+        p = spf[rest]
+        yield p
+        rest = rest // p
 
 
-def _squarefree_counts(x: int, mu: np.ndarray) -> tuple[int, int]:
-    """(odd squarefree <= x, all squarefree <= x) by Mobius inversion."""
-    if x < 1:
-        return 0, 0
-    total = 0
-    odd = 0
-    for d in range(1, math.isqrt(x) + 1):
-        m = int(mu[d])
-        if not m:
-            continue
-        q = x // (d * d)
-        total += m * q
-        if d % 2:
-            odd += m * ((q + 1) // 2)
-    return odd, total
+def _squarefree_counts(x: int, d: np.ndarray, mu_d: np.ndarray) -> tuple[int, int]:
+    """(odd squarefree <= x, all squarefree <= x) by Mobius inversion.
+
+    ``d`` holds the d with mu(d) != 0 in increasing order, at least up to
+    isqrt(x), and ``mu_d`` their mu(d) as int64.
+    """
+    k = int(np.searchsorted(d, math.isqrt(x), side="right"))
+    d, mu_d = d[:k], mu_d[:k]
+    q = x // (d * d)
+    odd = d % 2 == 1
+    return int(mu_d[odd] @ ((q[odd] + 1) // 2)), int(mu_d @ q)
+
+
+def _squarefree_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d <= limit with mu(d) != 0 and their mu(d), for _squarefree_counts."""
+    mu = sieve(limit)[1]
+    d = np.flatnonzero(mu)
+    return d, mu[d].astype(np.int64)
 
 
 def _count_mu2_exact(rungs: list[float]) -> list[int]:
@@ -379,13 +374,12 @@ def _count_mu2_exact(rungs: list[float]) -> list[int]:
     Odd squarefree m pairs (+-m) contribute disc m and 4m; even squarefree
     m contributes 4m twice.
     """
-    top = math.floor(rungs[-1])
-    mu = _mobius_up_to(math.isqrt(top) + 1)
+    table = _squarefree_table(math.isqrt(math.floor(rungs[-1])))
     out = []
     for B in rungs:
         x = math.floor(B)
-        odd_full, _ = _squarefree_counts(x, mu)
-        odd_q, total_q = _squarefree_counts(x // 4, mu)
+        odd_full, _ = _squarefree_counts(x, *table)
+        odd_q, total_q = _squarefree_counts(x // 4, *table)
         out.append(odd_full + odd_q + 2 * (total_q - odd_q))
     return out
 
@@ -395,8 +389,7 @@ def _count_mu3_exact(rungs: list[float]) -> list[int]:
     coprime: |disc| = 3 (hk)^2 if a^2 = 1 mod 9, else 27 (hk)^2."""
     top = math.floor(rungs[-1])
     K = math.isqrt(top // 3)
-    mu = _mobius_up_to(K + 1)
-    squarefree = [bool(mu[i]) for i in range(K + 1)]
+    squarefree = (sieve(K + 1)[1] != 0).tolist()
     discs = []
     for k in range(1, K + 1):
         if not squarefree[k]:
@@ -414,33 +407,78 @@ def _count_mu3_exact(rungs: list[float]) -> list[int]:
     return [bisect.bisect_right(discs, math.floor(B)) for B in rungs]
 
 
+# (B, A) pairs per chunk of the mu_4 count
+_PAIR_CHUNK = 1 << 20
+
+
 def _count_mu4_tame(rungs: list[float]) -> list[int]:
     """T(B) for mu_4 under the tame ordering.
 
-    Odd support primes contribute p^2 (exponent 2) or p^3 (exponents 1 and
-    3); the sign and the exponent of 2 give 8 classes per tame value.
+    An odd support prime contributes p^2 (exponent 2) or p^3 (exponents 1
+    and 3), so a tame value is A^2 B^3 with A, B odd, squarefree and
+    coprime, reached 2^omega(B) ways; the sign and the exponent of 2 give
+    8 classes each.  B = 1 leaves the odd squarefree A <= isqrt(x), a
+    Mobius sum.  The pairs with B >= 3 are swept in chunks and binned into
+    the rungs, so no value outlives its chunk.
     """
-    top = math.floor(rungs[-1])
-    primes = [p for p in primes_up_to(math.isqrt(top) + 1) if p != 2]
-    values: list[int] = []
+    caps = np.array([math.floor(B) for B in rungs], dtype=np.int64)
+    top = int(caps[-1])
+    b_cap = round(top ** (1 / 3))
+    b_cap -= b_cap**3 > top
+    limit = max(math.isqrt(top // 27), b_cap)
+    spf, mu = sieve(limit)
+    odd_sqf = np.flatnonzero(mu[1::2]) * 2 + 1
+    table = _squarefree_table(math.isqrt(math.isqrt(top)))
+    b1_counts = [_squarefree_counts(math.isqrt(int(x)), *table)[0] for x in caps]
 
-    def rec(i: int, acc: int, mult: int):
-        values.extend([acc] * mult)
-        for j in range(i, len(primes)):
-            p = primes[j]
-            p2 = p * p
-            if acc * p2 > top:
-                break
-            rec(j + 1, acc * p2, mult)  # exponent 2
-            if acc * p2 * p <= top:
-                rec(j + 1, acc * p2 * p, 2 * mult)  # exponents 1 and 3
+    Bs = odd_sqf[(odd_sqf >= 3) & (odd_sqf <= b_cap)]
+    weight = np.ones(len(Bs), dtype=np.int64)
+    for p in _prime_rounds(Bs, spf):
+        weight[p > 1] *= 2
+    binned = np.zeros(len(caps), dtype=np.int64)  # weight of the pairs new at each rung
+    a_caps = [math.isqrt(top // b**3) for b in Bs.tolist()]
+    k = np.searchsorted(odd_sqf, a_caps, side="right")  # A candidates per B
+    ends = np.cumsum(k)
+    i = 0
+    while i < len(Bs):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - k[i] + _PAIR_CHUNK, side="right")))
+        kk = k[i:j]
+        first = np.cumsum(kk) - kk  # each B's first pair in the chunk
+        A = odd_sqf[np.arange(int(kk.sum())) - np.repeat(first, kk)]
+        B = np.repeat(Bs[i:j], kk)
+        w = np.repeat(weight[i:j], kk)
+        keep = np.gcd(A, B) == 1
+        A, B, w = A[keep], B[keep], w[keep]
+        np.add.at(binned, np.searchsorted(caps, A * A * B**3), w)
+        i = j
+    return [8 * (b1 + int(c)) for b1, c in zip(b1_counts, np.cumsum(binned))]
 
-    rec(0, 1, 1)
-    values.sort()
-    return [8 * bisect.bisect_right(values, math.floor(B)) for B in rungs]
+
+def _count_cyclic3(rungs: list[float]) -> list[int]:
+    """M(B) for cyclic cubic fields from Cohn's conductors.
+
+    A conductor is f = 9^e * m with m a product of distinct primes = 1 mod
+    3, and carries 2^(omega(f) - 1) fields of discriminant f^2; so the
+    count at B is a prefix sum of these weights up to isqrt(B).
+    """
+    F = math.isqrt(math.floor(rungs[-1]))
+    spf, mu = sieve(F)
+    m = np.flatnonzero(mu)  # squarefree, 1 first
+    good = np.ones(len(m), dtype=bool)
+    omega = np.zeros(len(m), dtype=np.int64)
+    for p in _prime_rounds(m, spf):
+        good &= p % 3 == 1  # 1 once a value has no prime left
+        omega += p > 1
+    m, omega = m[good], omega[good]
+    fields = np.zeros(F + 1, dtype=np.int64)
+    fields[m[1:]] = 1 << (omega[1:] - 1)
+    nine = 9 * m <= F  # 3 does not divide m, so f = 9m meets no f = m
+    fields[9 * m[nine]] = 1 << omega[nine]
+    cum = np.cumsum(fields)
+    return [int(cum[math.isqrt(math.floor(B))]) for B in rungs]
 
 
-def _count_cyclic(n: int, rungs: list[float]) -> list[int]:
+def _count_cyclic_streaming(n: int, rungs: list[float]) -> list[int]:
     discs = sorted(d for _, d in enumerate_cyclic(n, rungs[-1]))
     return [bisect.bisect_right(discs, math.floor(B)) for B in rungs]
 
@@ -460,32 +498,33 @@ def _mu_partition_measures(args) -> list[float]:
     return out
 
 
+# (kind, n, counter, ordering) -> exact counter of every rung at once
+FAST_COUNTERS = {
+    ("mu", 2, "T", "disc_exact"): _count_mu2_exact,
+    ("mu", 3, "T", "disc_exact"): _count_mu3_exact,
+    ("mu", 4, "T", "disc_tame"): _count_mu4_tame,
+    ("cyclic", 3, "M", "disc_exact"): _count_cyclic3,
+}
+
+
 def count(spec: LadderSpec) -> CountLadder:
     """Build the count ladder for a census target.
 
-    Large mu_2 / mu_3 / mu_4 / cyclic ladders go through exact closed-form
-    or sieve counters; everything else streams the enumerators, optionally
-    split over ``jobs`` deterministic partitions.
+    Targets in ``FAST_COUNTERS`` go through their closed-form or sieve
+    counter; every other target streams its enumerator, a mu_n one
+    optionally split over ``jobs`` deterministic partitions.
     """
     kind, n = spec.target
     rungs = spec.rungs()
-    if kind == "cyclic":
+    fast = FAST_COUNTERS.get((kind, n, spec.counter, spec.ordering))
+    if fast is not None:
+        counts = fast(rungs)
+    elif kind == "mu":
+        counts = _count_mu_streaming(spec, rungs)
+    elif kind == "cyclic":
         if spec.counter != "M":
             raise ValueError("cyclic censuses count fields (counter M)")
-        counts = _count_cyclic(n, rungs)
-    elif kind == "mu":
-        fast = None
-        if spec.counter == "T":
-            if n == 2 and spec.ordering == "disc_exact":
-                fast = _count_mu2_exact
-            elif n == 3 and spec.ordering == "disc_exact":
-                fast = _count_mu3_exact
-            elif n == 4 and spec.ordering == "disc_tame":
-                fast = _count_mu4_tame
-        if fast is not None:
-            counts = fast(rungs)
-        else:
-            counts = _count_mu_streaming(spec, rungs)
+        counts = _count_cyclic_streaming(n, rungs)
     else:
         raise ValueError(f"unknown target {kind!r}")
     points = tuple((b, c) for b, c in zip(rungs, counts))

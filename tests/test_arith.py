@@ -11,6 +11,7 @@ from stacky.arith import (
     is_prime,
     nth_power_free_reduce,
     primes_up_to,
+    sieve,
     smallest_prime_factor,
     subgroup_generated,
     unit_group,
@@ -165,6 +166,34 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**4)) == 1229
+
+
+def _spf_and_mu_by_trial_division(m):
+    spf, k, rest, d = None, 0, m, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            spf = spf or d
+            rest //= d
+            if rest % d == 0:
+                return spf, 0
+            k += 1
+        d += 1
+    if rest > 1:
+        spf = spf or rest
+        k += 1
+    return spf, (-1) ** k
+
+
+def test_sieve_matches_definitions():
+    spf, mu = sieve(10**4)
+    assert (spf[0], spf[1], mu[0], mu[1]) == (0, 1, 0, 1)
+    for m in range(2, 10**4 + 1):
+        assert (spf[m], mu[m]) == _spf_and_mu_by_trial_division(m), m
+    # a smaller limit sieves fewer primes, and must agree on its range
+    for limit in range(0, 200):
+        small_spf, small_mu = sieve(limit)
+        assert small_spf.tolist() == spf[: limit + 1].tolist()
+        assert small_mu.tolist() == mu[: limit + 1].tolist()
 
 
 def test_smallest_prime_factor():

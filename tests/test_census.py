@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import census_measure
 from stacky.arith import factor, primes_up_to
 from stacky.census import (
+    FAST_COUNTERS,
     ORDERINGS,
     CountLadder,
     LadderSpec,
@@ -180,14 +181,62 @@ def test_enumerate_cyclic_validation():
         list(enumerate_cyclic(13, 100))
 
 
+def _streamed_count(key, B):
+    """What the streaming enumerator of a routed target counts up to B."""
+    kind, n, _, ordering = key
+    if kind == "cyclic":
+        return sum(1 for _ in enumerate_cyclic(n, B))
+    return sum(1 for _ in enumerate_mu(n, B, ordering))
+
+
+# Ladders whose b0 is itself a measure the counter reaches, so that the
+# first rung sits exactly on a boundary: 8 (a = 2), 108 = 27 * 2^2 (a = 2),
+# the tame 27 = 3^3 and 49 = 7^2 (a = 3 and a = 7^2), and the cyclic cubic
+# conductors 7 and 9.
+BOUNDARY_LADDERS = [
+    (("mu", 2, "T", "disc_exact"), 8),
+    (("mu", 3, "T", "disc_exact"), 108),
+    (("mu", 4, "T", "disc_tame"), 27),
+    (("mu", 4, "T", "disc_tame"), 49),
+    (("cyclic", 3, "M", "disc_exact"), 49),
+    (("cyclic", 3, "M", "disc_exact"), 81),
+]
+
+
 def test_fast_counters_match_streaming():
-    for n, ordering, bmax in [(2, "disc_exact", 10**4), (3, "disc_exact", 10**5),
-                              (4, "disc_tame", 10**5)]:
-        spec = LadderSpec(("mu", n), "T", ordering, b0=bmax / 2**8, doublings=8)
-        ladder = count(spec)
+    ladders = [(key, bmax / 2**8) for key, bmax in [
+        (("mu", 2, "T", "disc_exact"), 10**4), (("mu", 3, "T", "disc_exact"), 10**5),
+        (("mu", 4, "T", "disc_tame"), 10**5), (("cyclic", 3, "M", "disc_exact"), 10**5)]]
+    assert {key for key, _ in ladders} == set(FAST_COUNTERS)
+    for key, b0 in ladders + BOUNDARY_LADDERS:
+        kind, n, counter, ordering = key
+        ladder = count(LadderSpec((kind, n), counter, ordering, b0=b0, doublings=8))
         for B, c in ladder.points:
-            brute = sum(1 for _ in enumerate_mu(n, B, ordering))
-            assert c == brute, (n, B, c, brute)
+            brute = _streamed_count(key, B)
+            assert c == brute, (key, B, c, brute)
+    for key, b0 in BOUNDARY_LADDERS:
+        assert _streamed_count(key, b0) > _streamed_count(key, b0 - 1), (key, b0)
+
+
+@given(st.sampled_from(sorted(FAST_COUNTERS)),
+       st.one_of(st.integers(1, 600).map(float), st.floats(0.5, 600.0)),
+       st.integers(0, 5))
+def test_fast_counters_match_streaming_property(key, b0, doublings):
+    kind, n, counter, ordering = key
+    ladder = count(LadderSpec((kind, n), counter, ordering, b0=b0, doublings=doublings))
+    assert [c for _, c in ladder.points] == [_streamed_count(key, B) for B, _ in ladder.points]
+
+
+def test_cyclic3_count_matches_cohn_constant():
+    # Cohn (1954): #{cyclic cubic fields, disc <= B} ~ c sqrt(B), with
+    # c = 11 sqrt(3) / (36 pi) prod_{p = 1 mod 3} (1 - 2 / (p (p + 1)));
+    # the primes past 10^6 move c by less than 1e-7
+    euler = math.prod(1 - 2 / (p * (p + 1)) for p in primes_up_to(10**6) if p % 3 == 1)
+    c = 11 * math.sqrt(3) / (36 * math.pi) * euler
+    assert abs(c - 0.158528) < 1e-6
+    B = 1e3 * 2**26
+    (_, got), = count(LadderSpec(("cyclic", 3), "M", "disc_exact", b0=B, doublings=0)).points
+    assert abs(got / (c * math.sqrt(B)) - 1) < 0.01
 
 
 def test_count_cyclic_matches_enumeration():

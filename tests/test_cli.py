@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stacky.census import enumerate_cyclic, enumerate_mu
 from stacky.cli import main
 
 
@@ -125,6 +126,24 @@ def test_census_stdout(capsys):
                        "--B0", "10", "--Bmax", "1e4", "--order", "exact")
     assert code == 0
     assert out.splitlines()[0] == "B,count"
+
+
+@pytest.mark.parametrize("target,counter,order", [
+    ("cyclic:3", "M", "exact"),
+    ("mu:4", "T", "tame"),
+])
+def test_census_fast_routes_print_streamed_counts(capsys, target, counter, order):
+    code, out, _ = run(capsys, "census", "--target", target, "--counter", counter,
+                       "--order", order, "--B0", "1e3", "--Bmax", "1e6")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 11
+    for b, c in rows:
+        if target == "cyclic:3":
+            want = sum(1 for _ in enumerate_cyclic(3, float(b)))
+        else:
+            want = sum(1 for _ in enumerate_mu(4, float(b), "disc_tame"))
+        assert int(c) == want, (b, c, want)
 
 
 def test_census_bad_target(capsys):
