@@ -115,7 +115,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -286,7 +286,7 @@ class CyclotomicSignature:
     def __post_init__(self):
         m = self.modulus
         us = set(self.units)
-        if (1 if m == 1 else 1) not in us:
+        if 1 not in us:
             raise ValueError("signature must contain 1")
         for u in us:
             if m > 1 and math.gcd(u, m) != 1:
@@ -329,15 +329,10 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a byte sieve."""
+    """All primes <= limit: the m >= 2 that ``sieve`` gives spf(m) = m."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, b in enumerate(sieve) if b]
+    return np.flatnonzero(sieve(limit)[0] == np.arange(limit + 1))[2:].tolist()
 
 
 def sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:

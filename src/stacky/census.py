@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor, unit_group
+from .heights import darda_denominator
 from .kummer import KummerClass, is_irreducible, wild_exponent
 
 __all__ = [
@@ -110,8 +112,7 @@ def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     """Largest |disc| compatible with measure <= Bmax."""
     if ordering in ("disc_exact", "disc_tame"):
         return math.floor(Bmax)
-    r = smallest_prime_factor(n)
-    return math.floor(Bmax ** (n * n - n * n // r) * (1 + 1e-12))
+    return math.floor(Bmax ** darda_denominator(n) * (1 + 1e-12))
 
 
 def enumerate_mu(
@@ -146,7 +147,7 @@ def enumerate_mu(
     tame_primes = [p for p in primes_up_to(prime_cap) if n % p]
     # exact wild exponents exist for n in {2, 3}, whose one wild prime is n
     exact = ordering == "disc_exact" or (ordering == "darda" and n in (2, 3))
-    darda_exp = 1.0 / (n * n - n * n // r)
+    darda_exp = 1.0 / darda_denominator(n)
 
     # all wild exponent patterns (including absence, exponent 0), each with
     # its integer value and its valuation at the prime n
@@ -169,10 +170,11 @@ def enumerate_mu(
                     base = FactoredInteger(sign, tuple(sorted(pat + tame_factors)))
                     yield KummerClass(n, base), m
 
-    def rec(start_idx: int, tame_a: int, tame_disc: int,
+    def rec(idx: range, tame_a: int, tame_disc: int,
             factors: tuple[tuple[int, int], ...]):
-        yield from emit(tame_a, tame_disc, factors)
-        for i in range(start_idx, len(tame_primes)):
+        # extend the support by one tame prime from idx (primes increase along
+        # a support), emitting each new support before its own extensions
+        for i in idx:
             p = tame_primes[i]
             if tame_disc * p**min_exp > disc_bound:
                 break
@@ -180,22 +182,15 @@ def enumerate_mu(
                 contrib = p ** (n - math.gcd(e, n))
                 if tame_disc * contrib > disc_bound:
                     continue
-                yield from rec(i + 1, tame_a * p**e, tame_disc * contrib,
-                               factors + ((p, e),))
+                a, d, f = tame_a * p**e, tame_disc * contrib, factors + ((p, e),)
+                yield from emit(a, d, f)
+                yield from rec(range(i + 1, len(tame_primes)), a, d, f)
 
     # partition key: index of the smallest tame support prime (empty -> 0)
-    if part is None or part[0] % part[1] == 0:
+    start, step = (part[0] % part[1], part[1]) if part else (0, 1)
+    if start == 0:
         yield from emit(1, 1, ())
-    for i, p in enumerate(tame_primes):
-        if p**min_exp > disc_bound:
-            break
-        if part is not None and i % part[1] != part[0] % part[1]:
-            continue
-        for e in range(1, n):
-            contrib = p ** (n - math.gcd(e, n))
-            if contrib > disc_bound:
-                continue
-            yield from rec(i + 1, p**e, contrib, ((p, e),))
+    yield from rec(range(start, len(tame_primes), step), 1, 1, ())
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def _unit_components(f: int, spf: list[int]) -> list[tuple[int, int]]:
     return comps
 
 
-def _local_conductor(p: int, comp_orders: list[int], values: list[int], n: int) -> int:
+def _local_conductor(p: int, values: list[int], n: int) -> int:
     """Conductor of the p-part of a character given its component values."""
     orders = [n // math.gcd(n, c) for c in values]
     if all(o == 1 for o in orders):
@@ -264,16 +259,8 @@ def _character_conductor(
     comps: list[tuple[int, int]], values: tuple[int, ...], n: int
 ) -> int:
     cond = 1
-    i = 0
-    while i < len(comps):
-        p = comps[i][0]
-        j = i
-        while j < len(comps) and comps[j][0] == p:
-            j += 1
-        cond *= _local_conductor(
-            p, [comps[k][1] for k in range(i, j)], [values[k] for k in range(i, j)], n
-        )
-        i = j
+    for p, group in itertools.groupby(zip(comps, values), key=lambda cv: cv[0][0]):
+        cond *= _local_conductor(p, [c for _, c in group], n)
     return cond
 
 
@@ -302,7 +289,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
             g = math.gcd(n, d)
             step = n // g
             choices.append([step * t for t in range(g)])
-        for values in _product(choices):
+        for values in itertools.product(*choices):
             order = 1
             for c in values:
                 order = math.lcm(order, n // math.gcd(n, c))
@@ -310,9 +297,9 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
                 continue
             # dedupe by the automorphism orbit of the character
             orbit = [tuple(u * c % n for c in values) for u in aut]
-            if min(orbit) != tuple(values):
+            if min(orbit) != values:
                 continue
-            if _character_conductor(comps, tuple(values), n) != f:
+            if _character_conductor(comps, values, n) != f:
                 continue
             disc = 1
             for j in range(1, n):
@@ -321,16 +308,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
                 if disc > Bmax:
                     break
             if disc <= Bmax:
-                yield CyclicField(n, f, tuple(values), disc), disc
-
-
-def _product(choices: list[list[int]]):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for tail in _product(choices[1:]):
-            yield (head,) + tail
+                yield CyclicField(n, f, values, disc), disc
 
 
 # ---------------------------------------------------------------------------
@@ -384,31 +362,47 @@ def _count_mu2_exact(rungs: list[float]) -> list[int]:
     return out
 
 
-def _count_mu3_exact(rungs: list[float]) -> list[int]:
-    """T(B) for mu_3 by walking cube-free a = h k^2 with h, k squarefree
-    coprime: |disc| = 3 (hk)^2 if a^2 = 1 mod 9, else 27 (hk)^2."""
-    top = math.floor(rungs[-1])
-    K = math.isqrt(top // 3)
-    squarefree = (sieve(K + 1)[1] != 0).tolist()
-    discs = []
-    for k in range(1, K + 1):
-        if not squarefree[k]:
-            continue
-        k2mod9 = k * k % 9
-        for h in range(1, K // k + 1):
-            if not squarefree[h] or math.gcd(h, k) != 1:
-                continue
-            m = h * k
-            w = 3 if (h * k2mod9 % 9) in (1, 8) else 27
-            d = w * m * m
-            if d <= top:
-                discs.append(d)
-    discs.sort()
-    return [bisect.bisect_right(discs, math.floor(B)) for B in rungs]
-
-
-# (B, A) pairs per chunk of the mu_4 count
+# (outer, inner) pairs per chunk of _coprime_pair_sweep
 _PAIR_CHUNK = 1 << 20
+
+
+def _coprime_pair_sweep(outer, weight, inner, inner_caps, caps, value) -> np.ndarray:
+    """Total weight of the coprime pairs (A, B) with value(A, B) <= each cap.
+
+    B runs over ``outer`` with its ``weight``, A over the sorted ``inner`` up
+    to B's entry of ``inner_caps``.  The pairs are swept in chunks and binned
+    into the caps, so no value outlives its chunk; values past the top cap
+    fall into one last bin, which is dropped.
+    """
+    binned = np.zeros(len(caps) + 1, dtype=np.int64)  # weight new at each cap
+    k = np.searchsorted(inner, inner_caps, side="right")  # A candidates per B
+    ends = np.cumsum(k)
+    i = 0
+    while i < len(outer):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - k[i] + _PAIR_CHUNK, side="right")))
+        kk = k[i:j]
+        first = np.cumsum(kk) - kk  # each B's first pair in the chunk
+        A = inner[np.arange(int(kk.sum())) - np.repeat(first, kk)]
+        B = np.repeat(outer[i:j], kk)
+        w = np.repeat(weight[i:j], kk)
+        keep = np.gcd(A, B) == 1
+        A, B, w = A[keep], B[keep], w[keep]
+        np.add.at(binned, np.searchsorted(caps, value(A, B)), w)
+        i = j
+    return np.cumsum(binned[:-1])
+
+
+def _count_mu3_exact(rungs: list[float]) -> list[int]:
+    """T(B) for mu_3: cube-free a = h k^2 with h, k squarefree and coprime,
+    |disc| = 3 (hk)^2 if a^2 = 1 mod 9, else 27 (hk)^2, so hk <= sqrt(B/3)."""
+    caps = np.array([math.floor(B) for B in rungs], dtype=np.int64)
+    K = math.isqrt(int(caps[-1]) // 3)
+    sqf = np.flatnonzero(sieve(K)[1])
+
+    def disc(h, k):
+        return np.where(np.isin(h * (k * k % 9) % 9, (1, 8)), 3, 27) * (h * k) ** 2
+
+    return [int(c) for c in _coprime_pair_sweep(sqf, np.ones_like(sqf), sqf, K // sqf, caps, disc)]
 
 
 def _count_mu4_tame(rungs: list[float]) -> list[int]:
@@ -418,8 +412,7 @@ def _count_mu4_tame(rungs: list[float]) -> list[int]:
     and 3), so a tame value is A^2 B^3 with A, B odd, squarefree and
     coprime, reached 2^omega(B) ways; the sign and the exponent of 2 give
     8 classes each.  B = 1 leaves the odd squarefree A <= isqrt(x), a
-    Mobius sum.  The pairs with B >= 3 are swept in chunks and binned into
-    the rungs, so no value outlives its chunk.
+    Mobius sum; the pairs with B >= 3 go through the coprime-pair sweep.
     """
     caps = np.array([math.floor(B) for B in rungs], dtype=np.int64)
     top = int(caps[-1])
@@ -435,23 +428,9 @@ def _count_mu4_tame(rungs: list[float]) -> list[int]:
     weight = np.ones(len(Bs), dtype=np.int64)
     for p in _prime_rounds(Bs, spf):
         weight[p > 1] *= 2
-    binned = np.zeros(len(caps), dtype=np.int64)  # weight of the pairs new at each rung
     a_caps = [math.isqrt(top // b**3) for b in Bs.tolist()]
-    k = np.searchsorted(odd_sqf, a_caps, side="right")  # A candidates per B
-    ends = np.cumsum(k)
-    i = 0
-    while i < len(Bs):
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - k[i] + _PAIR_CHUNK, side="right")))
-        kk = k[i:j]
-        first = np.cumsum(kk) - kk  # each B's first pair in the chunk
-        A = odd_sqf[np.arange(int(kk.sum())) - np.repeat(first, kk)]
-        B = np.repeat(Bs[i:j], kk)
-        w = np.repeat(weight[i:j], kk)
-        keep = np.gcd(A, B) == 1
-        A, B, w = A[keep], B[keep], w[keep]
-        np.add.at(binned, np.searchsorted(caps, A * A * B**3), w)
-        i = j
-    return [8 * (b1 + int(c)) for b1, c in zip(b1_counts, np.cumsum(binned))]
+    pairs = _coprime_pair_sweep(Bs, weight, odd_sqf, a_caps, caps, lambda A, B: A * A * B**3)
+    return [8 * (b1 + int(c)) for b1, c in zip(b1_counts, pairs)]
 
 
 def _count_cyclic3(rungs: list[float]) -> list[int]:

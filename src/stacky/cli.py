@@ -189,16 +189,17 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> dict:
-    out = {}
+def _config_flags(path: str) -> list[str]:
+    """A key = value config file as flags: key = true/false toggles a
+    store_true flag."""
+    flags = []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+            key, _, val = (part.strip() for part in line.partition("="))
+            if not key or key.startswith("#") or val == "false":
                 continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+            flags.append(f"--{key}" if val == "true" else f"--{key}={val}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if args.config:
-        cfg = _load_config(args.config)
-        given = set(argv if argv is not None else sys.argv[1:])
-        for key, val in cfg.items():
-            if hasattr(args, key) and f"--{key}" not in given:
-                cur = getattr(args, key)
-                setattr(args, key, type(cur)(val) if cur is not None else val)
+        # config flags go right after the subcommand, so the explicit flags
+        # that follow override them; keys the subcommand lacks come back
+        # unparsed and are ignored
+        i = 0
+        while argv[i].startswith("-"):  # --config PATH or --config=PATH
+            i += 1 if "=" in argv[i] else 2
+        args, _ = parser.parse_known_args(argv[:i + 1] + _config_flags(args.config) + argv[i + 1:])
     try:
         return args.func(args)
     except ValueError as exc:

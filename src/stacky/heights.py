@@ -27,6 +27,7 @@ __all__ = [
     "SectorTable",
     "RaisingFunction",
     "eszb_height",
+    "darda_denominator",
     "darda_local",
     "darda_global",
     "sectors",
@@ -63,16 +64,22 @@ def _exact_height(base: FactoredInteger, power: Fraction) -> HeightValue:
     return HeightValue(log_value, base, power)
 
 
+def _disc_power(cls: KummerClass, mode: str, power: Fraction):
+    """|disc|^power, or a (lo, hi) pair when the wild exponents are only an
+    interval."""
+    res = discriminant(cls, mode)
+    lo = _exact_height(res.lo, power)
+    return lo if res.is_exact else (lo, _exact_height(res.hi, power))
+
+
 def eszb_height(cls: KummerClass, mode: str = "exact"):
     """(1/2) log |disc|; interval mode returns a (lo, hi) pair."""
-    res = discriminant(cls, mode)
-    if mode == "interval" and not res.is_exact:
-        lo, hi = res.lo, res.hi
-        return (_exact_height(lo, Fraction(1, 2)), _exact_height(hi, Fraction(1, 2)))
-    return _exact_height(res.lo, Fraction(1, 2))
+    return _disc_power(cls, mode, Fraction(1, 2))
 
 
-def _darda_denominator(n: int) -> int:
+def darda_denominator(n: int) -> int:
+    """N = n^2 - n^2/r, r the smallest prime factor of n: the quasi-discriminant
+    height is |disc|^(1/N)."""
     r = smallest_prime_factor(n)
     return n * n - n * n // r
 
@@ -93,49 +100,18 @@ def darda_local(cls: KummerClass, place, mode: str = "exact") -> float:
         if d.p == p:
             e_p = d.exponent
     v = a.valuation(p)
-    N = _darda_denominator(cls.n)
+    N = darda_denominator(cls.n)
     return p ** (-v / cls.n) * p ** (e_p / N)
 
 
 def darda_global(cls: KummerClass, mode: str = "exact"):
     """Product of the local factors over all places.
 
-    Computed in exact exponent arithmetic: the archimedean |a|^(1/n)
-    cancels the finite |a|_v^(1/n) by the product formula, leaving
-    |disc|^(1/(n^2 - n^2/r)) exactly.  Interval mode returns (lo, hi).
+    The archimedean |a|^(1/n) cancels the finite |a|_v^(1/n) by the product
+    formula, leaving |disc|^(1/(n^2 - n^2/r)) exactly.  Interval mode
+    returns (lo, hi).
     """
-    N = _darda_denominator(cls.n)
-    res = discriminant(cls, mode)
-    exps_lo: dict[int, Fraction] = {}
-    exps_hi: dict[int, Fraction] = {}
-    # finite places: -v_p(a)/n from |a|_v^(1/n), e_p/N from the local disc
-    for p, v in cls.a.factors:
-        exps_lo[p] = exps_lo.get(p, Fraction(0)) - Fraction(v, cls.n)
-        exps_hi[p] = exps_hi.get(p, Fraction(0)) - Fraction(v, cls.n)
-    for d in res.locals:
-        exps_lo[d.p] = exps_lo.get(d.p, Fraction(0)) + Fraction(d.lo, N)
-        exps_hi[d.p] = exps_hi.get(d.p, Fraction(0)) + Fraction(d.hi, N)
-    # the real place: |a|^(1/n) = prod_p p^(v_p(a)/n)
-    for p, v in cls.a.factors:
-        exps_lo[p] += Fraction(v, cls.n)
-        exps_hi[p] += Fraction(v, cls.n)
-    lo = _combine(exps_lo, N)
-    if exps_lo == exps_hi:
-        return lo
-    return (lo, _combine(exps_hi, N))
-
-
-def _combine(exps: dict[int, Fraction], N: int) -> HeightValue:
-    # all residual exponents share denominator N; express as base^(1/N)
-    base_exps = {}
-    for p, q in sorted(exps.items()):
-        k = q * N
-        if k.denominator != 1:
-            raise ArithmeticError("local exponents do not combine integrally")
-        if k:
-            base_exps[p] = int(k)
-    base = FactoredInteger(1, tuple(sorted(base_exps.items())))
-    return _exact_height(base, Fraction(1, N))
+    return _disc_power(cls, mode, Fraction(1, darda_denominator(cls.n)))
 
 
 @dataclass(frozen=True)
@@ -190,10 +166,10 @@ def abc_invariants(c: RaisingFunction) -> tuple[Fraction, int]:
 
 def raising_height(cls: KummerClass, mode: str = "exact") -> HeightValue:
     """Height for the discriminant raising datum: exactly |disc|."""
-    res = discriminant(cls, mode)
-    if not res.is_exact:
+    h = _disc_power(cls, mode, Fraction(1))
+    if isinstance(h, tuple):
         raise ValueError("raising height needs exact local exponents")
-    return _exact_height(res.value, Fraction(1))
+    return h
 
 
 def edd(cls: KummerClass, mode: str = "exact") -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import FactoredInteger, factor, nth_power_free_reduce, smallest_prime_factor
+from .arith import FactoredInteger, factor, nth_power_free_reduce, smallest_prime_factor, valuation
 
 __all__ = [
     "KummerClass",
@@ -202,17 +202,9 @@ def wild_local(cls: KummerClass, p: int, mode: str = "exact") -> LocalDiscData:
         e = wild_exponent(cls.n, cls.a.value, cls.a.valuation(p))
         return LocalDiscData(p, "wild", e, e)
     if mode == "interval":
-        bound = cls.n * _val(cls.n, p) + (cls.n - 1) * cls.a.valuation(p)
+        bound = cls.n * valuation(cls.n, p) + (cls.n - 1) * cls.a.valuation(p)
         return LocalDiscData(p, "wild", 0, bound)
     raise ValueError(f"unknown wild mode {mode!r}")
-
-
-def _val(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def discriminant(cls: KummerClass, mode: str = "exact") -> DiscriminantResult:
@@ -223,20 +215,11 @@ def discriminant(cls: KummerClass, mode: str = "exact") -> DiscriminantResult:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and cls.n not in EXACT_WILD_DEGREES:
-        raise ValueError(
-            f"exact wild exponents supported only for n in {EXACT_WILD_DEGREES}"
-        )
     n = cls.n
-    wild_primes = sorted({p for p, _ in factor(n).factors})
-    locals_: list[LocalDiscData] = []
-    for p in wild_primes:
-        if mode == "exact":
-            locals_.append(wild_local(cls, p, "exact"))
-        elif mode == "interval":
-            locals_.append(wild_local(cls, p, "interval"))
-        else:
-            locals_.append(LocalDiscData(p, "wild", 0, 0))
+    locals_ = [
+        LocalDiscData(p, "wild", 0, 0) if mode == "tame" else wild_local(cls, p, mode)
+        for p, _ in factor(n).factors
+    ]
     for p, _ in cls.a.factors:
         if n % p != 0:
             locals_.append(tame_local(cls, p))

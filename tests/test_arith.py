@@ -166,6 +166,11 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**4)) == 1229
+    # limits 0-3 are where primes_up_to and sieve call each other
+    for limit in range(-2, 200):
+        want = [m for m in range(2, limit + 1) if all(m % d for d in range(2, m))]
+        got = primes_up_to(limit)
+        assert got == want and all(type(p) is int for p in got), limit
 
 
 def _spf_and_mu_by_trial_division(m):

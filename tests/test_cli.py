@@ -170,3 +170,17 @@ def test_config_file(capsys, tmp_path):
     obj = run_json(capsys, "--config", str(cfg), "kummer", "disc",
                    "--n", "4", "--a", "6", "--mode", "interval", "--json")
     assert "value_interval" in obj  # explicit flag wins over the config
+    obj = run_json(capsys, "--config", str(cfg), "kummer", "disc",
+                   "--n", "4", "--a", "6", "--mode=interval", "--json")
+    assert "value_interval" in obj  # so does its --flag=value spelling
+    cfg.write_text("json = false\nmode = tame\nno_such_key = 1\n")
+    code, out, _ = run(capsys, f"--config={cfg}", "kummer", "disc", "--n", "4", "--a", "6")
+    assert code == 0 and "value: 27" in out  # false leaves --json off
+    cfg.write_text("json = true\nmode = tame\n")
+    obj = run_json(capsys, "--config", str(cfg), "kummer", "disc", "--n", "4", "--a", "6")
+    assert obj["value"] == 27
+    for bad in ("order = bogus", "counter = X", "jobs = two"):
+        cfg.write_text(bad + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "census", "--target", "mu:2", "--Bmax", "1e4"])
+        assert exc.value.code == 2, bad

@@ -44,12 +44,25 @@ def test_darda_exact_identity_spot():
 
 
 def test_darda_local_product_matches_global():
-    cls = canonical(12, 2)
-    support = [p for p, _ in cls.a.factors] + [2]
-    prod = darda_local(cls, "inf")
-    for p in sorted(set(support)):
-        prod *= darda_local(cls, p)
-    assert math.isclose(math.log(prod), darda_global(cls).log_value)
+    # the product formula is what reduces darda_global to |disc|^(1/N)
+    import random
+
+    rng = random.Random(20260824)
+    for n in range(2, 13):
+        wild = [p for p in (2, 3, 5, 7, 11) if n % p == 0]
+        values = [12, -7, 1, -1, n, -(n**3) * 35] + [
+            rng.choice([1, -1]) * rng.choice(wild) ** rng.randint(0, 2 * n) * rng.randint(1, 10**6)
+            for _ in range(34)
+        ]
+        for mode in ("exact", "tame") if n in (2, 3) else ("tame",):
+            for a in values:
+                cls = canonical(a, n)
+                support = {p for p, _ in cls.a.factors} | set(wild)
+                prod = darda_local(cls, "inf", mode)
+                for p in sorted(support):
+                    prod *= darda_local(cls, p, mode)
+                want = darda_global(cls, mode).log_value
+                assert math.isclose(math.log(prod), want, abs_tol=1e-9), (n, a, mode)
 
 
 def test_darda_interval_mode():
