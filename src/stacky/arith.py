@@ -341,12 +341,14 @@ def sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     Only the primes p <= isqrt(limit) are sieved.  Dividing each of them out
     of a squarefree m once leaves 1 or a single larger prime, which flips
     mu(m) and is spf(m) when no sieved prime divides m.  spf[0] = 0,
-    spf[1] = 1 and mu[0] = 0.
+    spf[1] = 1 and mu[0] = 0.  A limit of 2^31 or more, past int32 and
+    18 GiB of arrays, raises ValueError before anything is allocated.
     """
-    dtype = np.int32 if limit < 2**31 else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
+    if limit >= 2**31:
+        raise ValueError(f"sieve limit {limit} too large (must be < 2^31)")
+    spf = np.zeros(limit + 1, dtype=np.int32)
     mu = np.ones(limit + 1, dtype=np.int8)
-    rest = np.arange(limit + 1, dtype=dtype)
+    rest = np.arange(limit + 1, dtype=np.int32)
     # descending, so the smallest prime writes spf last
     for p in reversed(primes_up_to(math.isqrt(limit))):
         spf[p::p] = p

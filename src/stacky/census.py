@@ -3,11 +3,11 @@ ladders T(B)/M(B), and fit the exponents of B^alpha (log B)^beta.
 
 Two enumerators are provided: ``enumerate_mu`` walks canonical Kummer
 classes by recursion over squarefree supports with tame-discriminant
-pruning, and ``enumerate_cyclic`` walks cyclic degree-n fields via
-characters of (Z/fZ)^x and the conductor-discriminant formula.  ``count``
-looks each ladder target up in ``FAST_COUNTERS``, closed-form counters on
-numpy arrays from ``arith.sieve``, and streams the enumerators for every
-other target.
+pruning, and ``enumerate_cyclic`` walks cyclic degree-n fields the same
+way, prime by prime over local characters, with the conductor-discriminant
+formula.  ``count`` looks each ladder target up in ``FAST_COUNTERS``,
+closed-form counters on numpy arrays from ``arith.sieve``, and streams the
+enumerators for every other target.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor, unit_group
+from .arith import (FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor,
+                    unit_group, valuation)
 from .heights import darda_denominator
 from .kummer import KummerClass, is_irreducible, wild_exponent
 
@@ -207,31 +208,6 @@ class CyclicField:
     disc: int
 
 
-def _unit_components(f: int, spf: list[int]) -> list[tuple[int, int]]:
-    """Cyclic decomposition of (Z/fZ)^x as (p, order) components.
-
-    Odd p^k contributes one cyclic factor of order phi(p^k); 4 contributes
-    (2, 2); 2^k with k >= 3 contributes (2, 2) and (2, 2^(k-2)).
-    """
-    comps = []
-    m = f
-    while m > 1:
-        p = spf[m]
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        if p == 2:
-            if k == 2:
-                comps.append((2, 2))
-            elif k >= 3:
-                comps.append((2, 2))
-                comps.append((2, 2 ** (k - 2)))
-        else:
-            comps.append((p, p ** (k - 1) * (p - 1)))
-    return comps
-
-
 def _local_conductor(p: int, values: list[int], n: int) -> int:
     """Conductor of the p-part of a character given its component values."""
     orders = [n // math.gcd(n, c) for c in values]
@@ -255,60 +231,68 @@ def _local_conductor(p: int, values: list[int], n: int) -> int:
     return 2 ** (o_five.bit_length() - 1 + 2)
 
 
-def _character_conductor(
-    comps: list[tuple[int, int]], values: tuple[int, ...], n: int
-) -> int:
-    cond = 1
-    for p, group in itertools.groupby(zip(comps, values), key=lambda cv: cv[0][0]):
-        cond *= _local_conductor(p, [c for _, c in group], n)
-    return cond
+def _local_characters(p: int, n: int) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Every character of conductor exactly p^j (j >= 1) into Z/n, as
+    (component values, p^j, exponent of p in |disc|, order).
+
+    (Z/p^j)^x has one cyclic component of order p^(j-1)(p-1) for odd p; for
+    p = 2 it has components of orders 2 and 2^(j-2), the second from j = 3
+    on.  The exponent of p in |disc| is sum_{i=1}^{n-1} v_p(cond(chi^i)).
+    """
+    out = []
+    for j in range(1, valuation(n, p) + (3 if p == 2 else 2)):
+        comps = [2, 2 ** (j - 2)][: j - 1] if p == 2 else [p ** (j - 1) * (p - 1)]
+        for values in itertools.product(*(range(0, n, n // math.gcd(n, d)) for d in comps)):
+            if _local_conductor(p, values, n) != p**j:
+                continue
+            e = sum(valuation(_local_conductor(p, [i * c % n for c in values], n), p)
+                    for i in range(1, n))
+            order = math.lcm(*(n // math.gcd(n, c) for c in values))
+            out.append((values, p**j, e, order))
+    return out
 
 
 def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     """Stream cyclic degree-n extensions of Q with |disc| <= Bmax, once each.
 
-    Characters chi: (Z/fZ)^x -> Z/nZ of order exactly n and conductor
-    exactly f are enumerated up to Aut(Z/nZ); the discriminant is
-    prod_{j=1}^{n-1} cond(chi^j).
+    Characters chi into Z/nZ of order exactly n are built prime by prime
+    from ``_local_characters``, over supports of increasing primes pruned by
+    the partial |disc| (a nontrivial local character costs at least
+    p^(n - n/r)), and kept up to Aut(Z/nZ); the discriminant is
+    prod_{j=1}^{n-1} cond(chi^j).  The stream is in support order, not
+    conductor order.
     """
     if n < 2 or n > 12:
         raise ValueError("cyclic enumeration supports 2 <= n <= 12")
-    phi_n = len(unit_group(n))
-    fmax = int(Bmax ** (1.0 / phi_n) + 1e-9)
-    if fmax < 3:
+    disc_bound = math.floor(Bmax)
+    if disc_bound < 1:
         return
-    spf = sieve(fmax)[0].tolist()
+    min_exp = n - n // smallest_prime_factor(n)
+    prime_cap = int(disc_bound ** (1.0 / min_exp)) + 2
+    primes = [p for p in primes_up_to(prime_cap) if math.gcd(n, p * (p - 1)) > 1]
     aut = [u % n for u in unit_group(n)]
-    for f in range(3, fmax + 1):
-        comps = _unit_components(f, spf)
-        if not comps:
-            continue
-        # candidate values per component: multiples of n/gcd(n, order)
-        choices = []
-        for _, d in comps:
-            g = math.gcd(n, d)
-            step = n // g
-            choices.append([step * t for t in range(g)])
-        for values in itertools.product(*choices):
-            order = 1
-            for c in values:
-                order = math.lcm(order, n // math.gcd(n, c))
-            if order != n:
-                continue
-            # dedupe by the automorphism orbit of the character
-            orbit = [tuple(u * c % n for c in values) for u in aut]
-            if min(orbit) != values:
-                continue
-            if _character_conductor(comps, values, n) != f:
-                continue
-            disc = 1
-            for j in range(1, n):
-                powered = tuple(j * c % n for c in values)
-                disc *= _character_conductor(comps, powered, n)
-                if disc > Bmax:
-                    break
-            if disc <= Bmax:
-                yield CyclicField(n, f, values, disc), disc
+    tables: dict[int, list] = {}
+
+    def rec(start: int, values: tuple[int, ...], order: int, cond: int, disc: int):
+        # extend the support by one prime past primes[start - 1], emitting
+        # each new character before its own extensions
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if disc * p**min_exp > disc_bound:
+                break
+            if p not in tables:
+                tables[p] = _local_characters(p, n)
+            for vals, q, e, k in tables[p]:
+                d = disc * p**e
+                if d > disc_bound:
+                    continue
+                v, o, f = values + vals, math.lcm(order, k), cond * q
+                # order exactly n, one character per Aut(Z/nZ) orbit
+                if o == n and min(tuple(u * c % n for c in v) for u in aut) == v:
+                    yield CyclicField(n, f, v, d), d
+                yield from rec(i + 1, v, o, f, d)
+
+    yield from rec(0, (), 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,24 +441,28 @@ def _count_cyclic3(rungs: list[float]) -> list[int]:
     return [int(cum[math.isqrt(math.floor(B))]) for B in rungs]
 
 
-def _count_cyclic_streaming(n: int, rungs: list[float]) -> list[int]:
-    discs = sorted(d for _, d in enumerate_cyclic(n, rungs[-1]))
-    return [bisect.bisect_right(discs, math.floor(B)) for B in rungs]
-
-
 # ---------------------------------------------------------------------------
 # ladders and fitting
 
+# measures sorted and counted at a time by _rung_counts
+_RUNG_CHUNK = 1 << 16
 
-def _mu_partition_measures(args) -> list[float]:
-    n, Bmax, ordering, counter, w, nparts = args
-    out = []
-    for cls, m in enumerate_mu(n, Bmax, ordering, part=(w, nparts)):
-        if counter == "M" and not is_irreducible(cls):
-            continue
-        out.append(m)
-    out.sort()
-    return out
+
+def _rung_counts(measures: Iterable[float], rungs: list[float]) -> list[int]:
+    """How many of ``measures`` are <= each rung, in bounded memory: each
+    chunk of the stream is sorted and counted with one bisect per rung."""
+    counts = [0] * len(rungs)
+    it = iter(measures)
+    while chunk := sorted(itertools.islice(it, _RUNG_CHUNK)):
+        for i, B in enumerate(rungs):
+            counts[i] += bisect.bisect_right(chunk, B)
+    return counts
+
+
+def _mu_partition_counts(args) -> list[int]:
+    n, rungs, ordering, counter, w, nparts = args
+    stream = enumerate_mu(n, rungs[-1], ordering, part=(w, nparts))
+    return _rung_counts((m for cls, m in stream if counter != "M" or is_irreducible(cls)), rungs)
 
 
 # (kind, n, counter, ordering) -> exact counter of every rung at once
@@ -503,7 +491,7 @@ def count(spec: LadderSpec) -> CountLadder:
     elif kind == "cyclic":
         if spec.counter != "M":
             raise ValueError("cyclic censuses count fields (counter M)")
-        counts = _count_cyclic_streaming(n, rungs)
+        counts = _rung_counts((d for _, d in enumerate_cyclic(n, rungs[-1])), rungs)
     else:
         raise ValueError(f"unknown target {kind!r}")
     points = tuple((b, c) for b, c in zip(rungs, counts))
@@ -513,14 +501,13 @@ def count(spec: LadderSpec) -> CountLadder:
 def _count_mu_streaming(spec: LadderSpec, rungs: list[float]) -> list[int]:
     _, n = spec.target
     nparts = max(1, spec.jobs)
-    tasks = [(n, rungs[-1], spec.ordering, spec.counter, w, nparts) for w in range(nparts)]
+    tasks = [(n, rungs, spec.ordering, spec.counter, w, nparts) for w in range(nparts)]
     if nparts == 1:
-        parts = [_mu_partition_measures(tasks[0])]
+        parts = [_mu_partition_counts(tasks[0])]
     else:
         with ProcessPoolExecutor(max_workers=nparts) as pool:
-            parts = list(pool.map(_mu_partition_measures, tasks))
-    measures = sorted(m for part in parts for m in part)
-    return [bisect.bisect_right(measures, B) for B in rungs]
+            parts = list(pool.map(_mu_partition_counts, tasks))
+    return [sum(c) for c in zip(*parts)]
 
 
 def fit(ladder: CountLadder, window: tuple[int, int] | None = None) -> FitResult:

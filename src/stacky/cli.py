@@ -162,8 +162,10 @@ def _cmd_census(args) -> int:
     kind, _, n = args.target.partition(":")
     if kind not in ("mu", "cyclic") or not n.isdigit():
         raise ValueError(f"bad target {args.target!r} (want mu:N or cyclic:N)")
-    b0 = float(args.B0)
-    doublings = max(1, round(math.log2(float(args.Bmax) / b0)))
+    b0, bmax = float(args.B0), float(args.Bmax)
+    if not 0 < b0 <= bmax < math.inf:
+        raise ValueError(f"need 0 < B0 <= Bmax < inf, got B0={args.B0}, Bmax={args.Bmax}")
+    doublings = round(math.log2(bmax / b0))
     spec = census_mod.LadderSpec(
         target=(kind, int(n)),
         counter=args.counter,
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Bmax", default="2.62144e8")
     p.add_argument("--B0", default="1e3")
     p.add_argument("--order", choices=["exact", "tame", "darda"], default="exact")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("STACKY_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=os.environ.get("STACKY_JOBS", "1"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_census)
 

@@ -5,10 +5,11 @@ Dedekind index criterion applied to t^n - a over F_p, irreducibility comes
 from numerically expanding subset products of the exact complex roots and
 certifying near-integer factors by exact division over Z, and permutation
 groups come from a plain breadth-first closure and brute-force conjugation
-on image tuples.  The one exception is ``census_measure``, the slow path
-that measures a census class through the library's assembled
-``discriminant()``; the integer kernel of ``enumerate_mu`` is checked
-against it.
+on image tuples, and cyclic fields come from a scan of every conductor f
+over every character of (Z/fZ)^x.  The one exception is
+``census_measure``, the slow path that measures a census class through the
+library's assembled ``discriminant()``; the integer kernel of
+``enumerate_mu`` is checked against it.
 """
 
 from __future__ import annotations
@@ -304,6 +305,95 @@ def conjugacy_partition(
 def group_exponent(elements: list[tuple[int, ...]]) -> int:
     """The lcm of the element orders."""
     return math.lcm(*(math.lcm(*_cycle_lengths(g)) for g in elements))
+
+
+# ---------------------------------------------------------------------------
+# cyclic fields by conductor
+
+
+def _spf_table(limit: int) -> list[int]:
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def _unit_components(f: int, spf: list[int]) -> list[tuple[int, int]]:
+    """Cyclic decomposition of (Z/fZ)^x as (p, order) components, primes
+    increasing: odd p^k gives phi(p^k); 4 gives (2, 2); 2^k with k >= 3
+    gives (2, 2) and (2, 2^(k-2))."""
+    comps = []
+    m = f
+    while m > 1:
+        p, k = spf[m], 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if p != 2:
+            comps.append((p, p ** (k - 1) * (p - 1)))
+        elif k >= 2:
+            comps.append((2, 2))
+            if k >= 3:
+                comps.append((2, 2 ** (k - 2)))
+    return comps
+
+
+def _p_conductor(p: int, orders: list[int]) -> int:
+    """Conductor of a p-part character from the orders of its component
+    values."""
+    if all(o == 1 for o in orders):
+        return 1
+    if p != 2:
+        j, phi = 1, p - 1  # smallest p^j with orders[0] | phi(p^j)
+        while phi % orders[0]:
+            j, phi = j + 1, phi * p
+        return p**j
+    if len(orders) == 1 or orders[1] == 1:
+        return 4
+    return 2 ** (orders[1].bit_length() + 1)
+
+
+def _conductor(comps: list[tuple[int, int]], values: tuple[int, ...], n: int) -> int:
+    cond = 1
+    for p, group in itertools.groupby(zip(comps, values), key=lambda cv: cv[0][0]):
+        cond *= _p_conductor(p, [n // math.gcd(n, c) for _, c in group])
+    return cond
+
+
+def cyclic_fields_by_conductor(n: int, Bmax: float) -> list[tuple[int, tuple[int, ...], int]]:
+    """Sorted (conductor, character, |disc|) of the cyclic degree-n fields
+    with |disc| <= Bmax.
+
+    Every conductor f <= Bmax^(1/phi(n)) is scanned (|disc| >= f^phi(n),
+    since chi^j has conductor f for each j prime to n), with every
+    character of (Z/fZ)^x into Z/n: its values on the unit-group
+    generators of ``_unit_components``.  A character is kept when its
+    order is n, its conductor is f and it is the least of its orbit under
+    (Z/n)^x; |disc| = prod_{j=1}^{n-1} cond(chi^j).
+    """
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    phi_n = len(units)
+    fmax = int(Bmax ** (1.0 / phi_n) + 1e-9) if Bmax >= 1 else 0
+    spf = _spf_table(max(fmax, 1))
+    out = []
+    for f in range(2, fmax + 1):
+        comps = _unit_components(f, spf)
+        choices = [range(0, n, n // math.gcd(n, d)) for _, d in comps]
+        for values in itertools.product(*choices):
+            if math.lcm(*(n // math.gcd(n, c) for c in values)) != n:
+                continue
+            if min(tuple(u * c % n for c in values) for u in units) != values:
+                continue
+            if _conductor(comps, values, n) != f:
+                continue
+            disc = math.prod(_conductor(comps, tuple(j * c % n for c in values), n)
+                             for j in range(1, n))
+            if disc <= Bmax:
+                out.append((f, values, disc))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

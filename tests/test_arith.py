@@ -201,6 +201,15 @@ def test_sieve_matches_definitions():
         assert small_mu.tolist() == mu[: limit + 1].tolist()
 
 
+def test_sieve_rejects_infeasible_limits(no_numpy_alloc):
+    for limit in (2**31, 5 * 10**11, 2**64):
+        with pytest.raises(ValueError, match="sieve limit"):
+            sieve(limit)
+    # the largest feasible limit gets as far as its first allocation
+    with pytest.raises(AssertionError, match="allocated"):
+        sieve(2**31 - 1)
+
+
 def test_smallest_prime_factor():
     assert smallest_prime_factor(2) == 2
     assert smallest_prime_factor(91) == 7

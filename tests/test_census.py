@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import census_measure
+from oracles import census_measure, cyclic_fields_by_conductor
 from stacky.arith import factor, primes_up_to
 from stacky.census import (
     FAST_COUNTERS,
@@ -179,6 +179,33 @@ def test_enumerate_cyclic_validation():
         list(enumerate_cyclic(1, 100))
     with pytest.raises(ValueError):
         list(enumerate_cyclic(13, 100))
+    for bmax in (0.99, 0, -5):
+        assert list(enumerate_cyclic(2, bmax)) == []
+
+
+# n -> Bmax with at least one field, whose conductor scan takes under a second
+CYCLIC_BOUNDS = {
+    2: 5e3, 3: 1e7, 4: 1e7, 5: 1e14, 6: 1e7, 7: 1e15, 8: 1e12, 9: 1e15,
+    10: 1e13, 11: 1e18, 12: 2e13,
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLIC_BOUNDS))
+def test_enumerate_cyclic_matches_conductor_scan(n):
+    bmax = CYCLIC_BOUNDS[n]
+    got = sorted((fld.conductor, fld.character, fld.disc) for fld, _ in enumerate_cyclic(n, bmax))
+    want = cyclic_fields_by_conductor(n, bmax)
+    assert want
+    assert got == want
+
+
+def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
+    # prime caps past the sieve's 2^31: 7.5e11 for mu_3 darda at 8192
+    # (|disc| <= 8192^6), and 1e10 for quadratic fields to 1e10
+    with pytest.raises(ValueError, match="sieve limit"):
+        list(enumerate_mu(3, 8192, "darda"))
+    with pytest.raises(ValueError, match="sieve limit"):
+        list(enumerate_cyclic(2, 1e10))
 
 
 def _streamed_count(key, B):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stacky import census
 from stacky.census import enumerate_cyclic, enumerate_mu
 from stacky.cli import main
 
@@ -150,6 +151,46 @@ def test_census_bad_target(capsys):
     code, _, err = run(capsys, "census", "--target", "weird:3")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("b0,bmax", [("0", "1e4"), ("-5", "1e4"), ("1e4", "1e3"), ("1e3", "inf")])
+def test_census_rejects_bad_bounds(capsys, b0, bmax):
+    code, out, err = run(capsys, "census", "--target", "mu:2", "--B0", b0, "--Bmax", bmax)
+    assert code == 1
+    assert "B0" in err and not out
+
+
+def test_census_bmax_equal_to_b0_prints_one_rung(capsys):
+    code, out, _ = run(capsys, "census", "--target", "mu:3", "--B0", "1e3", "--Bmax", "1e3")
+    assert code == 0
+    assert out.splitlines() == ["B,count", f"1000.0,{sum(1 for _ in enumerate_mu(3, 1e3))}"]
+
+
+def test_census_infeasible_sieve_exits_1(capsys, no_numpy_alloc):
+    # mu_3 darda to 8192 needs the primes up to 7.5e11
+    code, out, err = run(capsys, "census", "--target", "mu:3", "--order", "darda",
+                         "--B0", "8192", "--Bmax", "8192")
+    assert code == 1
+    assert "sieve limit" in err
+
+
+def test_stacky_jobs_env(capsys, monkeypatch):
+    seen = []
+    real_count = census.count
+    monkeypatch.setattr(census, "count", lambda spec: seen.append(spec.jobs) or real_count(spec))
+    monkeypatch.setenv("STACKY_JOBS", "3")
+    for flags in ([], ["--jobs", "1"]):
+        code, _, _ = run(capsys, "census", "--target", "mu:2", "--Bmax", "1e4", *flags)
+        assert code == 0
+    assert seen == [3, 1]
+    # a bad value is a usage error of census alone
+    monkeypatch.setenv("STACKY_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--target", "mu:2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
+    assert obj["value"] == 675
 
 
 def test_usage_error_exits_2(capsys):
