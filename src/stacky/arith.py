@@ -28,7 +28,7 @@ __all__ = [
     "sieve",
 ]
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 2**10
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24
 # (comfortably covers the 2**64 contract).
@@ -137,23 +137,42 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, Brent's variant.
+    """A nontrivial factor of composite odd n, Brent's variant (Brent 1980).
 
-    Deterministic: cycles through fixed polynomial offsets until a factor
-    splits off, which always happens for composite n.
+    y walks x -> x^2 + c mod n; x is parked at the start of each window,
+    and windows double in length.  The products of (x - y) mod n are
+    accumulated over batches of m = 128 steps with one gcd per batch.
+    When a batch's gcd comes out as n, the batch is replayed from its start
+    one step and one gcd at a time.  Deterministic: cycles through fixed
+    offsets c until a factor splits off, which always happens for
+    composite n.
     """
     if n % 2 == 0:
         return 2
+    m = 128
     for c in range(1, n):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            # the batch overshot: step back to its start, one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
     raise ArithmeticError(f"rho failed on {n}")  # unreachable for composite n
 
 
@@ -171,8 +190,13 @@ def _factor_into(n: int, exps: dict[int, int]) -> None:
 def factor(m: int) -> FactoredInteger:
     """Exact factorization of a nonzero integer.
 
-    Trial division up to 10**6, then Brent-Pollard rho with a deterministic
-    Miller-Rabin certificate for the remaining cofactor.
+    Trial division by 2, 3, 5 and a mod-30 wheel up to TRIAL_DIVISION_BOUND
+    (2**10), stopping early once p^2 exceeds the cofactor.  A cofactor
+    left composite has only prime factors above 2**10; Brent-Pollard rho
+    (one gcd per 128 steps) splits it, and every factor is certified by
+    deterministic Miller-Rabin.  Rho finds a prime p in about sqrt(p)
+    steps, so the small trial bound costs little even on factors just
+    above it.
     """
     if m == 0:
         raise ValueError("cannot factor zero")

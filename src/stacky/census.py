@@ -272,6 +272,17 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     primes = [p for p in primes_up_to(prime_cap) if math.gcd(n, p * (p - 1)) > 1]
     aut = [u % n for u in unit_group(n)]
     tables: dict[int, list] = {}
+    # a tame prime's table (p does not divide n) depends on p only through
+    # gcd(n, p - 1) and its conductor p: one template per gcd, stamped per p
+    tame: dict[int, list] = {}
+
+    def table(p: int) -> list:
+        if n % p == 0:
+            return _local_characters(p, n)
+        g = math.gcd(n, p - 1)
+        if g not in tame:
+            tame[g] = _local_characters(p, n)
+        return [(v, p, e, k) for v, _, e, k in tame[g]]
 
     def rec(start: int, values: tuple[int, ...], order: int, cond: int, disc: int):
         # extend the support by one prime past primes[start - 1], emitting
@@ -281,7 +292,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
             if disc * p**min_exp > disc_bound:
                 break
             if p not in tables:
-                tables[p] = _local_characters(p, n)
+                tables[p] = table(p)
             for vals, q, e, k in tables[p]:
                 d = disc * p**e
                 if d > disc_bound:

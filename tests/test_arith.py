@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacky.arith import (
     CyclotomicSignature,
@@ -17,6 +20,7 @@ from stacky.arith import (
     unit_group,
     valuation,
 )
+from stacky.arith import _pollard_rho
 
 SEED = 20260824
 print(f"[test_arith] seed={SEED}")
@@ -35,6 +39,58 @@ def test_factor_large_semiprime():
     p, q = 1000003, 1000033
     f = factor(p * q)
     assert f.factors == ((p, 1), (q, 1))
+
+
+# primes in three bands: below the trial bound 2**10, from there to 10**6
+# (small for rho), and up to 2**32
+_PRIMES = st.one_of(
+    st.sampled_from(list(sympy.primerange(2, 2**10))),
+    st.integers(2**10, 10**6 - 1).map(sympy.nextprime),
+    st.integers(10**6, 2**32 - 6).map(sympy.nextprime),
+)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(_PRIMES, st.integers(1, 3)), min_size=0, max_size=5),
+       st.sampled_from([1, -1]))
+def test_factor_property(prime_powers, sign):
+    # keep |m| below 2**64, the range factor() is specified for
+    exps: dict[int, int] = {}
+    m = 1
+    for p, e in prime_powers:
+        assert sympy.isprime(p)
+        if p not in exps and m * p**e < 2**64:
+            exps[p] = e
+            m *= p**e
+    f = factor(sign * m)
+    assert f.factors == tuple(sorted(exps.items()))
+    assert f.sign == sign
+
+
+@pytest.mark.parametrize("m", [
+    1031**2, 1031**3, 1033**2 * 1039,            # just above the trial bound
+    2147483629**2, 2147483629**3,                 # near 2**31
+    1021 * 1031, 1021**2 * 1031**3, 1019 * 1031 * 1033,  # straddling it
+    3215031751, 3825123056546413051,              # strong pseudoprimes
+    561 * 1105 * 1729,                            # Carmichael numbers
+    2**61 - 1, 2**64 - 1, (2**31 - 1) ** 2,
+    1, -1, -(2**64 - 1),
+])
+def test_factor_edge_cases(m):
+    f = factor(m)
+    assert f.factors == tuple(sorted(sympy.factorint(abs(m)).items()))
+    assert f.sign == (1 if m > 0 else -1)
+
+
+def test_pollard_rho_proper_divisor():
+    odd_composites = [n for n in range(9, 10**5, 2) if not is_prime(n)]
+    # about a third of these prime powers reach gcd n at the end of a batch,
+    # so they take the step back from the batch start
+    prime_powers = [p**e for p in primes_up_to(2000)[1:] + [65537, 2**31 - 1]
+                    for e in (2, 3, 4)]
+    for n in odd_composites + prime_powers:
+        d = _pollard_rho(n)
+        assert 1 < d < n and n % d == 0, n
 
 
 def test_factor_rejects_zero():
