@@ -1,13 +1,15 @@
 """Censuses: enumerate cyclic torsors of bounded discriminant, build count
 ladders T(B)/M(B), and fit the exponents of B^alpha (log B)^beta.
 
-Two enumerators are provided: ``enumerate_mu`` walks canonical Kummer
-classes by recursion over squarefree supports with tame-discriminant
-pruning, and ``enumerate_cyclic`` walks cyclic degree-n fields the same
-way, prime by prime over local characters, with the conductor-discriminant
-formula.  ``count`` looks each ladder target up in ``FAST_COUNTERS``,
-closed-form counters on numpy arrays from ``arith.sieve``, and streams the
-enumerators for every other target.
+Two enumerators share one walk, ``_walk``, over supports of increasing
+primes pruned by the partial |disc|; each supplies only the local types a
+tame prime p admits.  ``enumerate_mu`` walks canonical Kummer classes, whose
+tame primes admit every twisted sector of ``heights.sectors`` (order k | n,
+cost p^(n - n/k)); ``enumerate_cyclic`` walks cyclic degree-n fields over
+the local characters of ``_local_characters``, where order k needs k | p - 1,
+the Galois twist between Bmu_n and B(Z/nZ).  ``count`` looks each ladder
+target up in ``FAST_COUNTERS``, closed-form counters on numpy arrays from
+``arith.sieve``, and streams the enumerators for every other target.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import bisect
 import csv
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -24,7 +27,7 @@ import numpy as np
 
 from .arith import (FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor,
                     unit_group, valuation)
-from .heights import darda_denominator
+from .heights import darda_denominator, sectors
 from .kummer import KummerClass, is_irreducible, wild_exponent
 
 __all__ = [
@@ -106,6 +109,50 @@ class LadderSpec:
 
 
 # ---------------------------------------------------------------------------
+# the support walk shared by both enumerators
+
+
+def _walk(n: int, disc_bound: int, table, fold, root, part: tuple[int, int] | None = None):
+    """Every support of increasing primes, one local type chosen per prime,
+    with |disc| <= disc_bound, as (state, |disc|): each support before its
+    extensions, the empty one (state ``root``, |disc| 1) first.
+
+    ``table(p)`` lists the local types p admits as (type, e), p^e being
+    the type's share of |disc|; primes with no type never enter a support.
+    ``fold(state, p, type)`` extends a support's state by one prime.  A
+    type costs at least p^(n - n/r), r the smallest prime factor of n,
+    which caps the primes and prunes each support.  ``part=(w, nparts)``
+    keeps the supports whose smallest prime has index w mod nparts in the
+    prime list, the empty support going with index 0.
+    """
+    min_exp = n - n // smallest_prime_factor(n)
+    primes = [(p, p**min_exp, [(t, p**e) for t, e in types])
+              for p in primes_up_to(int(disc_bound ** (1.0 / min_exp)) + 2)
+              if (types := table(p))]
+
+    def rec(idx: range, state, disc: int):
+        for i in idx:
+            p, least, types = primes[i]
+            if disc * least > disc_bound:
+                break
+            # a support that cannot pay the next prime's least cost is a
+            # leaf: no generator is started for its extensions
+            nxt = primes[i + 1][1] if i + 1 < len(primes) else disc_bound + 1
+            for t, pe in types:
+                d = disc * pe
+                if d <= disc_bound:
+                    s = fold(state, p, t)
+                    yield s, d
+                    if d * nxt <= disc_bound:
+                        yield from rec(range(i + 1, len(primes)), s, d)
+
+    start, step = (part[0] % part[1], part[1]) if part else (0, 1)
+    if start == 0:
+        yield root, 1
+    yield from rec(range(start, len(primes), step), root, 1)
+
+
+# ---------------------------------------------------------------------------
 # mu_n enumeration
 
 
@@ -124,12 +171,12 @@ def enumerate_mu(
 ) -> Iterator[tuple[KummerClass, float]]:
     """Stream every canonical Kummer class with measure <= Bmax, once each.
 
-    Recursion over squarefree supports: tame primes are chosen in
-    increasing order and pruned by the partial tame discriminant (each
-    support prime costs at least p^(n - n/r)); wild primes (p | n) and the
-    sign are enumerated exhaustively.  ``part=(w, nparts)`` restricts the
-    stream to one deterministic partition, keyed by the smallest tame
-    support prime.
+    The tame part of a class is a support walked by ``_walk``: a tame
+    prime p admits every exponent e in 1..n-1, the twisted sectors of
+    ``heights.sectors``, at a cost of p^(n - gcd(e, n)); wild primes
+    (p | n) and the sign are enumerated exhaustively on each support.
+    ``part=(w, nparts)`` restricts the stream to one deterministic
+    partition, keyed by the smallest tame support prime.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -140,12 +187,7 @@ def enumerate_mu(
     disc_bound = _disc_bound(Bmax, n, ordering)
     if disc_bound < 1:
         return
-    r = smallest_prime_factor(n)
-    min_exp = n - n // r
-    wild_primes = [p for p, _ in factor(n).factors]
     signs = (1,) if n % 2 else (1, -1)
-    prime_cap = int(disc_bound ** (1.0 / min_exp)) + 2
-    tame_primes = [p for p in primes_up_to(prime_cap) if n % p]
     # exact wild exponents exist for n in {2, 3}, whose one wild prime is n
     exact = ordering == "disc_exact" or (ordering == "darda" and n in (2, 3))
     darda_exp = 1.0 / darda_denominator(n)
@@ -153,14 +195,18 @@ def enumerate_mu(
     # all wild exponent patterns (including absence, exponent 0), each with
     # its integer value and its valuation at the prime n
     wild: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(1, 0, ())]
-    for p in wild_primes:
+    for p, _ in factor(n).factors:
         wild = [
             (w * p**e, e if p == n else v, pat + (((p, e),) if e else ()))
             for w, v, pat in wild
             for e in range(n)
         ]
 
-    def emit(tame_a: int, tame_disc: int, tame_factors: tuple[tuple[int, int], ...]):
+    # a support's state: its tame value and factors, one exponent per prime
+    tame = sectors(n).entries
+    walk = _walk(n, disc_bound, lambda p: () if n % p == 0 else tame,
+                 lambda s, p, e: (s[0] * p**e, s[1] + ((p, e),)), (1, ()), part)
+    for (tame_a, tame_factors), tame_disc in walk:
         for w, v, pat in wild:
             for sign in signs:
                 d = tame_disc
@@ -170,28 +216,6 @@ def enumerate_mu(
                 if m <= Bmax:
                     base = FactoredInteger(sign, tuple(sorted(pat + tame_factors)))
                     yield KummerClass(n, base), m
-
-    def rec(idx: range, tame_a: int, tame_disc: int,
-            factors: tuple[tuple[int, int], ...]):
-        # extend the support by one tame prime from idx (primes increase along
-        # a support), emitting each new support before its own extensions
-        for i in idx:
-            p = tame_primes[i]
-            if tame_disc * p**min_exp > disc_bound:
-                break
-            for e in range(1, n):
-                contrib = p ** (n - math.gcd(e, n))
-                if tame_disc * contrib > disc_bound:
-                    continue
-                a, d, f = tame_a * p**e, tame_disc * contrib, factors + ((p, e),)
-                yield from emit(a, d, f)
-                yield from rec(range(i + 1, len(tame_primes)), a, d, f)
-
-    # partition key: index of the smallest tame support prime (empty -> 0)
-    start, step = (part[0] % part[1], part[1]) if part else (0, 1)
-    if start == 0:
-        yield from emit(1, 1, ())
-    yield from rec(range(start, len(tame_primes), step), 1, 1, ())
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +255,9 @@ def _local_conductor(p: int, values: list[int], n: int) -> int:
     return 2 ** (o_five.bit_length() - 1 + 2)
 
 
-def _local_characters(p: int, n: int) -> list[tuple[tuple[int, ...], int, int, int]]:
+def _local_characters(p: int, n: int) -> list[tuple[tuple[tuple[int, ...], int, int], int]]:
     """Every character of conductor exactly p^j (j >= 1) into Z/n, as
-    (component values, p^j, exponent of p in |disc|, order).
+    ((component values, p^j, order), exponent of p in |disc|).
 
     (Z/p^j)^x has one cyclic component of order p^(j-1)(p-1) for odd p; for
     p = 2 it has components of orders 2 and 2^(j-2), the second from j = 3
@@ -248,18 +272,18 @@ def _local_characters(p: int, n: int) -> list[tuple[tuple[int, ...], int, int, i
             e = sum(valuation(_local_conductor(p, [i * c % n for c in values], n), p)
                     for i in range(1, n))
             order = math.lcm(*(n // math.gcd(n, c) for c in values))
-            out.append((values, p**j, e, order))
+            out.append(((values, p**j, order), e))
     return out
 
 
 def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     """Stream cyclic degree-n extensions of Q with |disc| <= Bmax, once each.
 
-    Characters chi into Z/nZ of order exactly n are built prime by prime
-    from ``_local_characters``, over supports of increasing primes pruned by
-    the partial |disc| (a nontrivial local character costs at least
-    p^(n - n/r)), and kept up to Aut(Z/nZ); the discriminant is
-    prod_{j=1}^{n-1} cond(chi^j).  The stream is in support order, not
+    Characters chi into Z/nZ are supports walked by ``_walk`` over the
+    local characters of ``_local_characters``: a tame prime p admits a
+    character of order k only when k | p - 1, at a cost of p^(n - n/k).
+    Those of order exactly n are kept up to Aut(Z/nZ); the discriminant
+    is prod_{j=1}^{n-1} cond(chi^j).  The stream is in support order, not
     conductor order.
     """
     if n < 2 or n > 12:
@@ -267,11 +291,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     disc_bound = math.floor(Bmax)
     if disc_bound < 1:
         return
-    min_exp = n - n // smallest_prime_factor(n)
-    prime_cap = int(disc_bound ** (1.0 / min_exp)) + 2
-    primes = [p for p in primes_up_to(prime_cap) if math.gcd(n, p * (p - 1)) > 1]
     aut = [u % n for u in unit_group(n)]
-    tables: dict[int, list] = {}
     # a tame prime's table (p does not divide n) depends on p only through
     # gcd(n, p - 1) and its conductor p: one template per gcd, stamped per p
     tame: dict[int, list] = {}
@@ -282,28 +302,16 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
         g = math.gcd(n, p - 1)
         if g not in tame:
             tame[g] = _local_characters(p, n)
-        return [(v, p, e, k) for v, _, e, k in tame[g]]
+        return [((v, p, k), e) for (v, _, k), e in tame[g]]
 
-    def rec(start: int, values: tuple[int, ...], order: int, cond: int, disc: int):
-        # extend the support by one prime past primes[start - 1], emitting
-        # each new character before its own extensions
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if disc * p**min_exp > disc_bound:
-                break
-            if p not in tables:
-                tables[p] = table(p)
-            for vals, q, e, k in tables[p]:
-                d = disc * p**e
-                if d > disc_bound:
-                    continue
-                v, o, f = values + vals, math.lcm(order, k), cond * q
-                # order exactly n, one character per Aut(Z/nZ) orbit
-                if o == n and min(tuple(u * c % n for c in v) for u in aut) == v:
-                    yield CyclicField(n, f, v, d), d
-                yield from rec(i + 1, v, o, f, d)
+    def fold(state, p, char):
+        (values, order, cond), (v, q, k) = state, char
+        return values + v, math.lcm(order, k), cond * q
 
-    yield from rec(0, (), 1, 1, 1)
+    for (v, o, f), d in _walk(n, disc_bound, table, fold, ((), 1, 1)):
+        # order exactly n, one character per Aut(Z/nZ) orbit
+        if o == n and min(tuple(u * c % n for c in v) for u in aut) == v:
+            yield CyclicField(n, f, v, d), d
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +501,8 @@ def count(spec: LadderSpec) -> CountLadder:
     optionally split over ``jobs`` deterministic partitions.
     """
     kind, n = spec.target
+    if spec.doublings < 0:
+        raise ValueError(f"doublings must be >= 0, got {spec.doublings}")
     rungs = spec.rungs()
     fast = FAST_COUNTERS.get((kind, n, spec.counter, spec.ordering))
     if fast is not None:
@@ -516,7 +526,8 @@ def _count_mu_streaming(spec: LadderSpec, rungs: list[float]) -> list[int]:
     if nparts == 1:
         parts = [_mu_partition_counts(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=nparts) as pool:
+        # fork starts every worker at once: no more of them than cores
+        with ProcessPoolExecutor(max_workers=min(nparts, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_mu_partition_counts, tasks))
     return [sum(c) for c in zip(*parts)]
 

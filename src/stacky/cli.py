@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error (e.g. exact mode for n = 5),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -261,8 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(jobs_default: str) -> argparse.ArgumentParser:
+    """``build_parser()`` built once per value of ``STACKY_JOBS``, the one
+    setting it reads from the environment."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser(os.environ.get("STACKY_JOBS", "1"))
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:

@@ -1,11 +1,15 @@
 import math
+import os
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import census_measure, cyclic_fields_by_conductor
+from stacky import census
 from stacky.arith import factor, primes_up_to
 from stacky.census import (
     FAST_COUNTERS,
@@ -17,6 +21,7 @@ from stacky.census import (
     enumerate_mu,
     fit,
 )
+from stacky.heights import sectors
 from stacky.kummer import canonical, discriminant, is_irreducible
 
 SEED = 20260824
@@ -193,10 +198,30 @@ CYCLIC_BOUNDS = {
 @pytest.mark.parametrize("n", sorted(CYCLIC_BOUNDS))
 def test_enumerate_cyclic_matches_conductor_scan(n):
     bmax = CYCLIC_BOUNDS[n]
-    got = sorted((fld.conductor, fld.character, fld.disc) for fld, _ in enumerate_cyclic(n, bmax))
     want = cyclic_fields_by_conductor(n, bmax)
     assert want
-    assert got == want
+    # the largest |disc| found is a boundary: reached at D, missed at D - 1
+    top = max(disc for _, _, disc in want)
+    for b in (bmax, top, top - 1):
+        got = sorted((fld.conductor, fld.character, fld.disc) for fld, _ in enumerate_cyclic(n, b))
+        assert got == [w for w in want if w[2] <= b], b
+
+
+def _phi(k):
+    return sum(1 for i in range(1, k + 1) if math.gcd(i, k) == 1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_tame_local_types_differ_by_the_galois_twist(n):
+    # at a tame prime p, Bmu_n admits phi(k) local types of order k, each of
+    # exponent n - n/k, for every k | n (its twisted sectors); B(Z/nZ)
+    # admits them, of conductor p, only for k | p - 1
+    orders = [k for k in range(2, n + 1) if n % k == 0]
+    assert Counter(c for _, c in sectors(n).entries) == {n - n // k: _phi(k) for k in orders}
+    for p in primes_up_to(200):
+        if n % p:
+            chars = Counter((k, q, e) for (_, q, k), e in census._local_characters(p, n))
+            assert chars == {(k, p, n - n // k): _phi(k) for k in orders if (p - 1) % k == 0}, p
 
 
 def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
@@ -290,6 +315,33 @@ def test_count_validation():
         count(LadderSpec(("cyclic", 3), "T", "disc_exact"))
     with pytest.raises(ValueError):
         count(LadderSpec(("weird", 3), "T", "disc_exact"))
+    # no rungs, on the fast route and on the streaming one
+    for target, ordering in ((("mu", 2), "disc_exact"), (("mu", 6), "disc_tame")):
+        with pytest.raises(ValueError, match="doublings"):
+            count(LadderSpec(target, "T", ordering, doublings=-1))
+
+
+def test_count_caps_worker_processes(monkeypatch):
+    # every partition is still counted, on no more workers than cores
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    spec = LadderSpec(("mu", 6), "T", "disc_tame", b0=10, doublings=10, jobs=64)
+    assert count(spec).points == count(replace(spec, jobs=1)).points
+    assert seen == [min(64, os.cpu_count() or 1)]
 
 
 def test_ladder_csv_roundtrip(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from stacky import census
+from stacky import census, cli
 from stacky.census import enumerate_cyclic, enumerate_mu
 from stacky.cli import main
 
@@ -191,6 +191,21 @@ def test_stacky_jobs_env(capsys, monkeypatch):
     assert "--jobs" in capsys.readouterr().err
     obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
     assert obj["value"] == 675
+
+
+def test_parser_built_once_per_jobs_env(capsys, monkeypatch):
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    try:
+        for jobs in ("2", "2", "2", "5", "2"):
+            monkeypatch.setenv("STACKY_JOBS", jobs)
+            obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
+            assert obj["value"] == 675
+        assert len(built) == 2
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_usage_error_exits_2(capsys):
