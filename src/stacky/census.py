@@ -8,8 +8,11 @@ tame primes admit every twisted sector of ``heights.sectors`` (order k | n,
 cost p^(n - n/k)); ``enumerate_cyclic`` walks cyclic degree-n fields over
 the local characters of ``_local_characters``, where order k needs k | p - 1,
 the Galois twist between Bmu_n and B(Z/nZ).  ``count`` looks each ladder
-target up in ``FAST_COUNTERS``, closed-form counters on numpy arrays from
-``arith.sieve``, and streams the enumerators for every other target.
+target up in ``FAST_COUNTERS`` and streams the enumerators for every other
+target.  Its three mu keys share one local-type counter, ``_count_mu``, which
+counts what ``enumerate_mu`` walks from the same sectors and the same wild
+exponents (``kummer.wild_exponent``), on numpy arrays from ``arith.sieve``;
+cyclic:3 counts Cohn's conductors.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ import csv
 import itertools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import (FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor,
-                    unit_group, valuation)
+from .arith import FactoredInteger, factor, primes_up_to, sieve, unit_group, valuation
 from .heights import darda_denominator, sectors
 from .kummer import KummerClass, is_irreducible, wild_exponent
 
@@ -65,7 +69,7 @@ class CountLadder:
         points = []
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = next(rd)
+            header = next(rd, [])  # [] for an empty file
             if header[:2] != ["B", "count"]:
                 raise ValueError("expected CSV header B,count")
             for row in rd:
@@ -82,13 +86,7 @@ class FitResult:
     window: tuple[int, int]
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "residual_rms": self.residual_rms,
-            "window": list(self.window),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,6 @@ class LadderSpec:
     doublings: int = DEFAULT_DOUBLINGS
     jobs: int = 1
 
-    @property
-    def bmax(self) -> float:
-        return self.b0 * 2**self.doublings
-
     def rungs(self) -> list[float]:
         return [self.b0 * 2**i for i in range(self.doublings + 1)]
 
@@ -112,7 +106,7 @@ class LadderSpec:
 # the support walk shared by both enumerators
 
 
-def _walk(n: int, disc_bound: int, table, fold, root, part: tuple[int, int] | None = None):
+def _walk(least: int, disc_bound: int, table, fold, root, part: tuple[int, int] | None = None):
     """Every support of increasing primes, one local type chosen per prime,
     with |disc| <= disc_bound, as (state, |disc|): each support before its
     extensions, the empty one (state ``root``, |disc| 1) first.
@@ -120,14 +114,13 @@ def _walk(n: int, disc_bound: int, table, fold, root, part: tuple[int, int] | No
     ``table(p)`` lists the local types p admits as (type, e), p^e being
     the type's share of |disc|; primes with no type never enter a support.
     ``fold(state, p, type)`` extends a support's state by one prime.  A
-    type costs at least p^(n - n/r), r the smallest prime factor of n,
-    which caps the primes and prunes each support.  ``part=(w, nparts)``
-    keeps the supports whose smallest prime has index w mod nparts in the
-    prime list, the empty support going with index 0.
+    type costs at least p^least, which caps the primes and prunes each
+    support.  ``part=(w, nparts)`` keeps the supports whose smallest prime
+    has index w mod nparts in the prime list, the empty support going with
+    index 0.
     """
-    min_exp = n - n // smallest_prime_factor(n)
-    primes = [(p, p**min_exp, [(t, p**e) for t, e in types])
-              for p in primes_up_to(int(disc_bound ** (1.0 / min_exp)) + 2)
+    primes = [(p, p**least, [(t, p**e) for t, e in types])
+              for p in primes_up_to(int(disc_bound ** (1.0 / least)) + 2)
               if (types := table(p))]
 
     def rec(idx: range, state, disc: int):
@@ -187,35 +180,36 @@ def enumerate_mu(
     disc_bound = _disc_bound(Bmax, n, ordering)
     if disc_bound < 1:
         return
-    signs = (1,) if n % 2 else (1, -1)
     # exact wild exponents exist for n in {2, 3}, whose one wild prime is n
     exact = ordering == "disc_exact" or (ordering == "darda" and n in (2, 3))
     darda_exp = 1.0 / darda_denominator(n)
-
-    # all wild exponent patterns (including absence, exponent 0), each with
-    # its integer value and its valuation at the prime n
-    wild: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(1, 0, ())]
-    for p, _ in factor(n).factors:
-        wild = [
-            (w * p**e, e if p == n else v, pat + (((p, e),) if e else ()))
-            for w, v, pat in wild
-            for e in range(n)
-        ]
+    wild = _wild_patterns(n)
 
     # a support's state: its tame value and factors, one exponent per prime
-    tame = sectors(n).entries
-    walk = _walk(n, disc_bound, lambda p: () if n % p == 0 else tame,
+    tame = sectors(n)
+    walk = _walk(tame.min_value(), disc_bound, lambda p: () if n % p == 0 else tame.entries,
                  lambda s, p, e: (s[0] * p**e, s[1] + ((p, e),)), (1, ()), part)
     for (tame_a, tame_factors), tame_disc in walk:
-        for w, v, pat in wild:
-            for sign in signs:
-                d = tame_disc
-                if exact:
-                    d *= n ** wild_exponent(n, sign * w * tame_a, v)
-                m = d ** darda_exp if ordering == "darda" else d
-                if m <= Bmax:
-                    base = FactoredInteger(sign, tuple(sorted(pat + tame_factors)))
-                    yield KummerClass(n, base), m
+        for sign, w, v, pat in wild:
+            d = tame_disc
+            if exact:
+                d *= n ** wild_exponent(n, sign * w * tame_a, v)
+            m = d ** darda_exp if ordering == "darda" else d
+            if m <= Bmax:
+                base = FactoredInteger(sign, tuple(sorted(pat + tame_factors)))
+                yield KummerClass(n, base), m
+
+
+def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
+    """Every (sign, w, v, pattern) a Kummer class puts beside its tame part:
+    a sign, and one exponent 0..n-1 at each prime p | n, as the product w
+    of those prime powers, its valuation v at n when n is prime (else 0),
+    and its factors (p, e) with e > 0."""
+    wild = [(1, 0, ())]
+    for p, _ in factor(n).factors:
+        wild = [(w * p**e, e if p == n else v, pat + (((p, e),) if e else ()))
+                for w, v, pat in wild for e in range(n)]
+    return [(s, w, v, pat) for w, v, pat in wild for s in ((1,) if n % 2 else (1, -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +302,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
         (values, order, cond), (v, q, k) = state, char
         return values + v, math.lcm(order, k), cond * q
 
-    for (v, o, f), d in _walk(n, disc_bound, table, fold, ((), 1, 1)):
+    for (v, o, f), d in _walk(sectors(n).min_value(), disc_bound, table, fold, ((), 1, 1)):
         # order exactly n, one character per Aut(Z/nZ) orbit
         if o == n and min(tuple(u * c % n for c in v) for u in aut) == v:
             yield CyclicField(n, f, v, d), d
@@ -329,111 +323,116 @@ def _prime_rounds(values: np.ndarray, spf: np.ndarray) -> Iterator[np.ndarray]:
         rest = rest // p
 
 
-def _squarefree_counts(x: int, d: np.ndarray, mu_d: np.ndarray) -> tuple[int, int]:
-    """(odd squarefree <= x, all squarefree <= x) by Mobius inversion.
+# sieve entries past which a counter with one leading sector counts the
+# squarefree d by Mobius sums instead of a prefix-sum table
+_TABLE = 1 << 14
 
-    ``d`` holds the d with mu(d) != 0 in increasing order, at least up to
-    isqrt(x), and ``mu_d`` their mu(d) as int64.
+
+def _iroot(y: np.ndarray, m: int) -> np.ndarray:
+    """floor(y^(1/m)) for an int64 array y >= 0, below 2^53 for m = 1 and
+    below 2^62 for m <= 10."""
+    z = np.floor(y ** (1.0 / m)).astype(np.int64)
+    z -= z**m > y
+    return z + ((z + 1) ** m <= y)
+
+
+def _count_mu(n: int, ordering: str, rungs: list[float]) -> list[int]:
+    """T(B) for mu_n under a disc ordering, every rung at once: what
+    ``enumerate_mu`` walks, counted from the local types.
+
+    The tame supports have the Dirichlet series f = g * h over the sectors
+    of ``heights.sectors``.  g puts the r - 1 leading sectors (cost p^m,
+    m = n - n/r) on the squarefree d prime to n, read off a prefix-sum
+    table from ``arith.sieve``, and by Mobius sums past ``_TABLE`` when
+    r = 2.  h(p^j) = f(p^j) - (r - 1) h(p^(j - m)) vanishes for j <= m, so
+    its supports are few; they are swept one prime more at a time.  Each
+    (sign, wild pattern) multiplies |disc| by its wild cost.  Under
+    disc_exact (n in {2, 3}, where h = 1) that cost reads the tame part mod
+    M = n^2, so the table tallies the tame parts by their class mod M.
     """
-    k = int(np.searchsorted(d, math.isqrt(x), side="right"))
-    d, mu_d = d[:k], mu_d[:k]
-    q = x // (d * d)
-    odd = d % 2 == 1
-    return int(mu_d[odd] @ ((q[odd] + 1) // 2)), int(mu_d @ q)
+    caps = [math.floor(B) for B in rungs]
+    M = n * n if ordering == "disc_exact" else 1
+    units = [u % M for u in unit_group(M)]
+    costs = {u: Counter(n ** wild_exponent(n, s * w * u, v) if M > 1 else 1
+                        for s, w, v, _ in _wild_patterns(n)) for u in units}
+    # the units mod M are the powers of g, and g^i matters only through
+    # i mod C, g^C being the least power of g that keeps every cost
+    phi = len(units)
+    g = next(u for u in units if len({pow(u, i, M) for i in range(phi)}) == phi)
+    C = next(c for c in range(1, phi + 1)
+             if all(costs[pow(g, c, M) * u % M] == costs[u] for u in units))
+    log = np.zeros(M, dtype=np.int64)
+    log[[pow(g, i, M) for i in range(phi)]] = np.arange(phi) % C
+    bound = max(caps) // min(min(c) for c in costs.values())
+    sec, m = sectors(n).entries, sectors(n).min_value()
+    lead = Counter(e % C for e, c in sec if c == m)  # the leading sectors, e mod C
+    h = [1]  # h(p^j) for p^j <= bound
+    for j in range(1, bound.bit_length()):
+        h.append(sum(c == j for _, c in sec) - (h[j - m] if j >= m else 0) * sum(lead.values()))
+    # p^j for each type, over the same primes prime to n: index i is one prime
+    pw = [(c, np.array(pj, dtype=np.int64)) for j, c in enumerate(h) if j and c and (pj := [
+        p**j for p in primes_up_to(int(bound ** (1 / j)) + 1) if n % p and p**j <= bound])]
 
+    # the supports of h, one prime more per sweep: weight, k and the index
+    # of the largest prime
+    W, K, I = (np.array([x]) for x in (1, 1, -1))
+    sup = []
+    while len(K):
+        sup.append((W, K))
+        y, new = bound // K, [(W[:0], K[:0], I[:0])]
+        for c, pj in pw:
+            # no support can pay the next prime's p^j: skip the sweep
+            if len(pj) > I.min() + 1 and pj[I.min() + 1] <= y.max():
+                cnt = np.maximum(np.searchsorted(pj, y, side="right") - I - 1, 0)
+                rep = np.repeat(np.arange(len(K)), cnt)
+                i = np.arange(len(rep)) - np.repeat(np.cumsum(cnt) - cnt - I - 1, cnt)
+                new.append((W[rep] * c, K[rep] * pj[i], i))
+        W, K, I = (np.concatenate(x) for x in zip(*new))
+    W, K = (np.concatenate(x) for x in zip(*sup))
+    # one term per support k, class t and wild cost c: weight times the
+    # tame parts of class t over the d with k c d^m <= B
+    Q, Wt, R = (np.concatenate(x) for x in zip(*((K * c, W * k, np.full(len(K), t))
+                for t in range(C) for c, k in costs[pow(g, t, M)].items())))
 
-def _squarefree_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d <= limit with mu(d) != 0 and their mu(d), for _squarefree_counts."""
-    mu = sieve(limit)[1]
+    # V[t, d]: the tame parts over the squarefree d prime to n, of class t;
+    # a leading sector p^e moves class t to t + e log(p) mod C
+    zmax = int(_iroot(np.array([bound]), m)[0])
+    L = max(math.isqrt(zmax), min(zmax, _TABLE)) if lead == {0: 1} else zmax
+    spf, mu = sieve(L)
+    for p, _ in factor(n).factors:
+        mu[::p] = 0
     d = np.flatnonzero(mu)
-    return d, mu[d].astype(np.int64)
+    V = np.zeros((C, L + 1), dtype=np.int64)  # int: float dots would start BLAS threads
+    V[0, d] = 1
+    for p in () if lead == {0: 1} else _prime_rounds(d, spf):
+        x = np.where(p > 1, log[p % M], C)
+        for c in range(C):
+            cols = d[x == c]
+            V[:, cols] = sum(k * np.roll(V[:, cols], e * c, axis=0) for e, k in lead.items())
+    tab = V.cumsum(axis=1)
 
+    # past the table, the squarefree d <= z prime to n number
+    # sum_e mu(e) phi_n(z // e^2), the e past z^(1/3) grouped by z // e^2
+    mertens = np.cumsum(mu, dtype=np.int64)
+    coprime = np.cumsum([0] + [math.gcd(j, n) == 1 for j in range(1, n)])
 
-def _count_mu2_exact(rungs: list[float]) -> list[int]:
-    """T(B) for mu_2: squarefree a with |disc| <= B, via Mobius counting.
+    def phi_n(y):  # the j <= y prime to n
+        return y // n * coprime[-1] + coprime[y % n]
 
-    Odd squarefree m pairs (+-m) contribute disc m and 4m; even squarefree
-    m contributes 4m twice.
-    """
-    table = _squarefree_table(math.isqrt(math.floor(rungs[-1])))
-    out = []
-    for B in rungs:
-        x = math.floor(B)
-        odd_full, _ = _squarefree_counts(x, *table)
-        odd_q, total_q = _squarefree_counts(x // 4, *table)
-        out.append(odd_full + odd_q + 2 * (total_q - odd_q))
-    return out
+    def past(z: int) -> int:
+        s = int(z ** (1 / 3))
+        x = _iroot(z // np.arange(1, s + 2), 2)
+        e = np.arange(1, x[-1] + 1)
+        return int(mu[e] @ phi_n(z // (e * e))
+                   + phi_n(np.arange(1, s + 1)) @ (mertens[x[:-1]] - mertens[x[1:]]))
 
+    def count_at(cap: int) -> int:
+        z = _iroot(cap // Q, m)
+        big = z > L
+        return int(Wt[~big] @ tab[R[~big], z[~big]]) + sum(
+            int(w) * past(int(x)) for w, x in zip(Wt[big], z[big]))
 
-# (outer, inner) pairs per chunk of _coprime_pair_sweep
-_PAIR_CHUNK = 1 << 20
-
-
-def _coprime_pair_sweep(outer, weight, inner, inner_caps, caps, value) -> np.ndarray:
-    """Total weight of the coprime pairs (A, B) with value(A, B) <= each cap.
-
-    B runs over ``outer`` with its ``weight``, A over the sorted ``inner`` up
-    to B's entry of ``inner_caps``.  The pairs are swept in chunks and binned
-    into the caps, so no value outlives its chunk; values past the top cap
-    fall into one last bin, which is dropped.
-    """
-    binned = np.zeros(len(caps) + 1, dtype=np.int64)  # weight new at each cap
-    k = np.searchsorted(inner, inner_caps, side="right")  # A candidates per B
-    ends = np.cumsum(k)
-    i = 0
-    while i < len(outer):
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - k[i] + _PAIR_CHUNK, side="right")))
-        kk = k[i:j]
-        first = np.cumsum(kk) - kk  # each B's first pair in the chunk
-        A = inner[np.arange(int(kk.sum())) - np.repeat(first, kk)]
-        B = np.repeat(outer[i:j], kk)
-        w = np.repeat(weight[i:j], kk)
-        keep = np.gcd(A, B) == 1
-        A, B, w = A[keep], B[keep], w[keep]
-        np.add.at(binned, np.searchsorted(caps, value(A, B)), w)
-        i = j
-    return np.cumsum(binned[:-1])
-
-
-def _count_mu3_exact(rungs: list[float]) -> list[int]:
-    """T(B) for mu_3: cube-free a = h k^2 with h, k squarefree and coprime,
-    |disc| = 3 (hk)^2 if a^2 = 1 mod 9, else 27 (hk)^2, so hk <= sqrt(B/3)."""
-    caps = np.array([math.floor(B) for B in rungs], dtype=np.int64)
-    K = math.isqrt(int(caps[-1]) // 3)
-    sqf = np.flatnonzero(sieve(K)[1])
-
-    def disc(h, k):
-        return np.where(np.isin(h * (k * k % 9) % 9, (1, 8)), 3, 27) * (h * k) ** 2
-
-    return [int(c) for c in _coprime_pair_sweep(sqf, np.ones_like(sqf), sqf, K // sqf, caps, disc)]
-
-
-def _count_mu4_tame(rungs: list[float]) -> list[int]:
-    """T(B) for mu_4 under the tame ordering.
-
-    An odd support prime contributes p^2 (exponent 2) or p^3 (exponents 1
-    and 3), so a tame value is A^2 B^3 with A, B odd, squarefree and
-    coprime, reached 2^omega(B) ways; the sign and the exponent of 2 give
-    8 classes each.  B = 1 leaves the odd squarefree A <= isqrt(x), a
-    Mobius sum; the pairs with B >= 3 go through the coprime-pair sweep.
-    """
-    caps = np.array([math.floor(B) for B in rungs], dtype=np.int64)
-    top = int(caps[-1])
-    b_cap = round(top ** (1 / 3))
-    b_cap -= b_cap**3 > top
-    limit = max(math.isqrt(top // 27), b_cap)
-    spf, mu = sieve(limit)
-    odd_sqf = np.flatnonzero(mu[1::2]) * 2 + 1
-    table = _squarefree_table(math.isqrt(math.isqrt(top)))
-    b1_counts = [_squarefree_counts(math.isqrt(int(x)), *table)[0] for x in caps]
-
-    Bs = odd_sqf[(odd_sqf >= 3) & (odd_sqf <= b_cap)]
-    weight = np.ones(len(Bs), dtype=np.int64)
-    for p in _prime_rounds(Bs, spf):
-        weight[p > 1] *= 2
-    a_caps = [math.isqrt(top // b**3) for b in Bs.tolist()]
-    pairs = _coprime_pair_sweep(Bs, weight, odd_sqf, a_caps, caps, lambda A, B: A * A * B**3)
-    return [8 * (b1 + int(c)) for b1, c in zip(b1_counts, pairs)]
+    return [count_at(cap) for cap in caps]
 
 
 def _count_cyclic3(rungs: list[float]) -> list[int]:
@@ -486,9 +485,9 @@ def _mu_partition_counts(args) -> list[int]:
 
 # (kind, n, counter, ordering) -> exact counter of every rung at once
 FAST_COUNTERS = {
-    ("mu", 2, "T", "disc_exact"): _count_mu2_exact,
-    ("mu", 3, "T", "disc_exact"): _count_mu3_exact,
-    ("mu", 4, "T", "disc_tame"): _count_mu4_tame,
+    ("mu", 2, "T", "disc_exact"): partial(_count_mu, 2, "disc_exact"),
+    ("mu", 3, "T", "disc_exact"): partial(_count_mu, 3, "disc_exact"),
+    ("mu", 4, "T", "disc_tame"): partial(_count_mu, 4, "disc_tame"),
     ("cyclic", 3, "M", "disc_exact"): _count_cyclic3,
 }
 

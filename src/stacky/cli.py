@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 domain error (e.g. exact mode for n = 5),
-2 usage error.  Exact rationals are printed as "p/q" strings in JSON.
+Exit codes: 0 success, 1 domain or file error (e.g. exact mode for n = 5,
+or an input file that cannot be read), 2 usage error.  Exact rationals are
+printed as "p/q" strings in JSON.
 """
 
 from __future__ import annotations
@@ -273,17 +274,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser(os.environ.get("STACKY_JOBS", "1"))
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
-        # config flags go right after the subcommand, so the explicit flags
-        # that follow override them; keys the subcommand lacks come back
-        # unparsed and are ignored
-        i = 0
-        while argv[i].startswith("-"):  # --config PATH or --config=PATH
-            i += 1 if "=" in argv[i] else 2
-        args, _ = parser.parse_known_args(argv[:i + 1] + _config_flags(args.config) + argv[i + 1:])
     try:
+        if args.config:
+            # config flags go right after the subcommand, so the explicit
+            # flags that follow override them; keys the subcommand lacks
+            # come back unparsed and are ignored
+            i = 0
+            while argv[i].startswith("-"):  # --config PATH or --config=PATH
+                i += 1 if "=" in argv[i] else 2
+            args, _ = parser.parse_known_args(
+                argv[:i + 1] + _config_flags(args.config) + argv[i + 1:])
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

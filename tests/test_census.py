@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import random
@@ -22,7 +23,7 @@ from stacky.census import (
     fit,
 )
 from stacky.heights import sectors
-from stacky.kummer import canonical, discriminant, is_irreducible
+from stacky.kummer import canonical, discriminant, is_irreducible, wild_exponent
 
 SEED = 20260824
 print(f"[test_census] seed={SEED}")
@@ -279,6 +280,32 @@ def test_fast_counters_match_streaming_property(key, b0, doublings):
     assert [c for _, c in ladder.points] == [_streamed_count(key, B) for B, _ in ladder.points]
 
 
+# 4 table entries send every even n past the table, into the Mobius sums,
+# 6, 10 and 12 with an odd prime beside 2 among them
+@pytest.mark.parametrize("table", [census._TABLE, 4])
+@pytest.mark.parametrize("n,ordering", [key for key in sorted(MU_BOUNDS) if key[1] != "darda"])
+def test_count_mu_matches_enumerate_mu(monkeypatch, n, ordering, table):
+    # the local-type counter beyond the routed keys: every n under
+    # disc_tame, n in {2, 3} under disc_exact, at every rung
+    monkeypatch.setattr(census, "_TABLE", table)
+    bmax = MU_BOUNDS[n, ordering]
+    rungs = [bmax / 2**i for i in range(10, -1, -1)]
+    measures = sorted(m for _, m in enumerate_mu(n, bmax, ordering))
+    want = [bisect.bisect_right(measures, B) for B in rungs]
+    assert census._count_mu(n, ordering, rungs) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(t=st.integers(1, 10**15))
+def test_wild_exponent_reads_the_tame_part_mod_n_squared(n, t):
+    # _count_mu tallies the tame parts t by their residue mod n^2 and reads
+    # each wild cost at that residue; a wild kernel that reads more of a
+    # fails here rather than in a count
+    t += t % n == 0  # prime to n
+    for s, w, v, _ in census._wild_patterns(n):
+        assert wild_exponent(n, s * w * t, v) == wild_exponent(n, s * w * (t % (n * n)), v)
+
+
 def test_cyclic3_count_matches_cohn_constant():
     # Cohn (1954): #{cyclic cubic fields, disc <= B} ~ c sqrt(B), with
     # c = 11 sqrt(3) / (36 pi) prod_{p = 1 mod 3} (1 - 2 / (p (p + 1)));
@@ -354,9 +381,10 @@ def test_ladder_csv_roundtrip(tmp_path):
 
 def test_ladder_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("x,y\n1,2\n")
-    with pytest.raises(ValueError):
-        CountLadder.from_csv(str(path))
+    for text in ("x,y\n1,2\n", ""):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            CountLadder.from_csv(str(path))
 
 
 def _planted_ladder(alpha, beta, c0, rungs):

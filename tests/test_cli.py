@@ -147,6 +147,25 @@ def test_census_fast_routes_print_streamed_counts(capsys, target, counter, order
         assert int(c) == want, (b, c, want)
 
 
+def test_fit_empty_csv_exits_1(capsys, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, out, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert "error" in err and "B,count" in err and not out
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["fit", "--in", "{tmp}/missing.csv"], "missing.csv"),
+    (["--config", "{tmp}/missing.cfg", "kummer", "disc", "--n", "2", "--a", "3"], "missing.cfg"),
+    (["census", "--target", "mu:2", "--Bmax", "1e4", "--out", "{tmp}/no_dir/l.csv"], "l.csv"),
+])
+def test_unreadable_or_unwritable_file_exits_1(capsys, tmp_path, argv, name):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ") and name in err and not out
+
+
 def test_census_bad_target(capsys):
     code, _, err = run(capsys, "census", "--target", "weird:3")
     assert code == 1
