@@ -9,10 +9,12 @@ cost p^(n - n/k)); ``enumerate_cyclic`` walks cyclic degree-n fields over
 the local characters of ``_local_characters``, where order k needs k | p - 1,
 the Galois twist between Bmu_n and B(Z/nZ).  ``count`` looks each ladder
 target up in ``FAST_COUNTERS`` and streams the enumerators for every other
-target.  Its three mu keys share one local-type counter, ``_count_mu``, which
-counts what ``enumerate_mu`` walks from the same sectors and the same wild
-exponents (``kummer.wild_exponent``), on numpy arrays from ``arith.sieve``;
-cyclic:3 counts Cohn's conductors.
+target.  Its mu keys, T for n = 2..12 under every ordering ``enumerate_mu``
+takes and M for prime n, share one local-type counter, ``_count_mu``, which
+counts what ``enumerate_mu`` walks from the same sectors, the same wild
+exponents (``kummer.wild_exponent``) and the same |disc| caps
+(``_disc_bound``), on numpy arrays from ``arith.sieve``; a ladder past its
+int64 range streams.  cyclic:3 counts Cohn's conductors.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import FactoredInteger, factor, primes_up_to, sieve, unit_group, valuation
+from .arith import (FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor,
+                    unit_group, valuation)
 from .heights import darda_denominator, sectors
-from .kummer import KummerClass, is_irreducible, wild_exponent
+from .kummer import EXACT_WILD_DEGREES, KummerClass, is_irreducible, wild_exponent
 
 __all__ = [
     "CountLadder",
@@ -73,6 +76,8 @@ class CountLadder:
             if header[:2] != ["B", "count"]:
                 raise ValueError("expected CSV header B,count")
             for row in rd:
+                if len(row) < 2:
+                    raise ValueError(f"line {rd.line_num}: expected B,count, got {row}")
                 points.append((float(row[0]), int(row[1])))
         return cls(target, counter, ordering, tuple(points))
 
@@ -150,10 +155,25 @@ def _walk(least: int, disc_bound: int, table, fold, root, part: tuple[int, int] 
 
 
 def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
-    """Largest |disc| compatible with measure <= Bmax."""
-    if ordering in ("disc_exact", "disc_tame"):
+    """Largest |disc| d with measure <= Bmax.  Under darda it is the largest
+    integer d with d ** (1/N) <= Bmax, the float test ``enumerate_mu``
+    applies, found by bisection."""
+    if ordering != "darda":
         return math.floor(Bmax)
-    return math.floor(Bmax ** darda_denominator(n) * (1 + 1e-12))
+    x = 1.0 / darda_denominator(n)
+    lo, hi = 0, 1  # hi fails the test, lo passes or is 0
+    while hi**x <= Bmax:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**x <= Bmax else (lo, mid)
+    return lo
+
+
+def _exact_wild(n: int, ordering: str) -> bool:
+    """Whether ``ordering`` measures the wild primes: exact wild exponents
+    exist for n in {2, 3}, whose one wild prime is n; disc_tame drops them."""
+    return ordering != "disc_tame" and n in EXACT_WILD_DEGREES
 
 
 def enumerate_mu(
@@ -173,15 +193,14 @@ def enumerate_mu(
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    if ordering == "disc_exact" and n not in (2, 3):
+    if ordering == "disc_exact" and n not in EXACT_WILD_DEGREES:
         raise ValueError("disc_exact ordering requires n in {2, 3}")
     if n > 12:
         raise ValueError("enumeration supports n <= 12")
     disc_bound = _disc_bound(Bmax, n, ordering)
     if disc_bound < 1:
         return
-    # exact wild exponents exist for n in {2, 3}, whose one wild prime is n
-    exact = ordering == "disc_exact" or (ordering == "darda" and n in (2, 3))
+    exact = _exact_wild(n, ordering)
     darda_exp = 1.0 / darda_denominator(n)
     wild = _wild_patterns(n)
 
@@ -285,7 +304,11 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     disc_bound = math.floor(Bmax)
     if disc_bound < 1:
         return
-    aut = [u % n for u in unit_group(n)]
+    # v is least in its Aut(Z/nZ) orbit only if its first nonzero value c is
+    # gcd(c, n), the least value the units carry c to; then only the units
+    # that fix c (u = 1 mod n/c) can carry v lower
+    fixing = {c: [u for u in unit_group(n) if u % (n // c) == 1 and u != 1]
+              for c in range(1, n) if n % c == 0}
     # a tame prime's table (p does not divide n) depends on p only through
     # gcd(n, p - 1) and its conductor p: one template per gcd, stamped per p
     tame: dict[int, list] = {}
@@ -304,7 +327,8 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
 
     for (v, o, f), d in _walk(sectors(n).min_value(), disc_bound, table, fold, ((), 1, 1)):
         # order exactly n, one character per Aut(Z/nZ) orbit
-        if o == n and min(tuple(u * c % n for c in v) for u in aut) == v:
+        if o == n and n % (c := next(c for c in v if c)) == 0 \
+                and all(tuple(u * x % n for x in v) >= v for u in fixing[c]):
             yield CyclicField(n, f, v, d), d
 
 
@@ -329,16 +353,19 @@ _TABLE = 1 << 14
 
 
 def _iroot(y: np.ndarray, m: int) -> np.ndarray:
-    """floor(y^(1/m)) for an int64 array y >= 0, below 2^53 for m = 1 and
-    below 2^62 for m <= 10."""
+    """floor(y^(1/m)) for an int64 array 0 <= y < 2^62 and m <= 10."""
+    if m == 1:
+        return y
     z = np.floor(y ** (1.0 / m)).astype(np.int64)
     z -= z**m > y
     return z + ((z + 1) ** m <= y)
 
 
-def _count_mu(n: int, ordering: str, rungs: list[float]) -> list[int]:
-    """T(B) for mu_n under a disc ordering, every rung at once: what
-    ``enumerate_mu`` walks, counted from the local types.
+def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int] | None:
+    """T(B), or M(B) for prime n, for mu_n, every rung at once: what
+    ``enumerate_mu`` walks, counted from the local types; None, before
+    anything is allocated, when a top rung's |disc| cap times its largest
+    wild cost passes the int64 range the counter works in.
 
     The tame supports have the Dirichlet series f = g * h over the sectors
     of ``heights.sectors``.  g puts the r - 1 leading sectors (cost p^m,
@@ -346,15 +373,19 @@ def _count_mu(n: int, ordering: str, rungs: list[float]) -> list[int]:
     table from ``arith.sieve``, and by Mobius sums past ``_TABLE`` when
     r = 2.  h(p^j) = f(p^j) - (r - 1) h(p^(j - m)) vanishes for j <= m, so
     its supports are few; they are swept one prime more at a time.  Each
-    (sign, wild pattern) multiplies |disc| by its wild cost.  Under
-    disc_exact (n in {2, 3}, where h = 1) that cost reads the tame part mod
-    M = n^2, so the table tallies the tame parts by their class mod M.
+    (sign, wild pattern) multiplies |disc| by its wild cost.  Where the
+    wild primes are measured (n in {2, 3}, where h = 1) that cost reads the
+    tame part mod M = n^2, so the table tallies the tame parts by their
+    class mod M.  For prime n the one reducible class is a = 1, so M(B) is
+    T(B) less a = 1 where its |disc| is within the cap.
     """
-    caps = [math.floor(B) for B in rungs]
-    M = n * n if ordering == "disc_exact" else 1
+    caps = [_disc_bound(B, n, ordering) for B in rungs]
+    M = n * n if _exact_wild(n, ordering) else 1
     units = [u % M for u in unit_group(M)]
     costs = {u: Counter(n ** wild_exponent(n, s * w * u, v) if M > 1 else 1
                         for s, w, v, _ in _wild_patterns(n)) for u in units}
+    if max(caps) * max(max(c) for c in costs.values()) >= 2**62:
+        return None
     # the units mod M are the powers of g, and g^i matters only through
     # i mod C, g^C being the least power of g that keeps every cost
     phi = len(units)
@@ -432,7 +463,8 @@ def _count_mu(n: int, ordering: str, rungs: list[float]) -> list[int]:
         return int(Wt[~big] @ tab[R[~big], z[~big]]) + sum(
             int(w) * past(int(x)) for w, x in zip(Wt[big], z[big]))
 
-    return [count_at(cap) for cap in caps]
+    one = n ** wild_exponent(n, 1, 0) if M > 1 else 1  # the |disc| of a = 1
+    return [count_at(cap) - (counter == "M" and cap >= one) for cap in caps]
 
 
 def _count_cyclic3(rungs: list[float]) -> list[int]:
@@ -483,11 +515,12 @@ def _mu_partition_counts(args) -> list[int]:
     return _rung_counts((m for cls, m in stream if counter != "M" or is_irreducible(cls)), rungs)
 
 
-# (kind, n, counter, ordering) -> exact counter of every rung at once
+# (kind, n, counter, ordering) -> exact counter of every rung at once: mu_n
+# T under every ordering enumerate_mu takes, and M for prime n
 FAST_COUNTERS = {
-    ("mu", 2, "T", "disc_exact"): partial(_count_mu, 2, "disc_exact"),
-    ("mu", 3, "T", "disc_exact"): partial(_count_mu, 3, "disc_exact"),
-    ("mu", 4, "T", "disc_tame"): partial(_count_mu, 4, "disc_tame"),
+    **{("mu", n, c, o): partial(_count_mu, n, o, counter=c)
+       for n in range(2, 13) for o in ORDERINGS if o != "disc_exact" or n in EXACT_WILD_DEGREES
+       for c in "TM" if c == "T" or smallest_prime_factor(n) == n},
     ("cyclic", 3, "M", "disc_exact"): _count_cyclic3,
 }
 
@@ -496,24 +529,25 @@ def count(spec: LadderSpec) -> CountLadder:
     """Build the count ladder for a census target.
 
     Targets in ``FAST_COUNTERS`` go through their closed-form or sieve
-    counter; every other target streams its enumerator, a mu_n one
-    optionally split over ``jobs`` deterministic partitions.
+    counter; every other target, and a mu_n ladder past the int64 range of
+    ``_count_mu``, streams its enumerator, a mu_n one optionally split over
+    ``jobs`` deterministic partitions.
     """
     kind, n = spec.target
     if spec.doublings < 0:
         raise ValueError(f"doublings must be >= 0, got {spec.doublings}")
     rungs = spec.rungs()
     fast = FAST_COUNTERS.get((kind, n, spec.counter, spec.ordering))
-    if fast is not None:
-        counts = fast(rungs)
-    elif kind == "mu":
-        counts = _count_mu_streaming(spec, rungs)
-    elif kind == "cyclic":
-        if spec.counter != "M":
-            raise ValueError("cyclic censuses count fields (counter M)")
-        counts = _rung_counts((d for _, d in enumerate_cyclic(n, rungs[-1])), rungs)
-    else:
-        raise ValueError(f"unknown target {kind!r}")
+    # a fast counter answers None for rungs past its range, which stream
+    if fast is None or (counts := fast(rungs)) is None:
+        if kind == "mu":
+            counts = _count_mu_streaming(spec, rungs)
+        elif kind == "cyclic":
+            if spec.counter != "M":
+                raise ValueError("cyclic censuses count fields (counter M)")
+            counts = _rung_counts((d for _, d in enumerate_cyclic(n, rungs[-1])), rungs)
+        else:
+            raise ValueError(f"unknown target {kind!r}")
     points = tuple((b, c) for b, c in zip(rungs, counts))
     return CountLadder(f"{kind}:{n}", spec.counter, spec.ordering, points)
 

@@ -178,16 +178,19 @@ def tame_local(cls: KummerClass, p: int) -> LocalDiscData:
 def wild_exponent(n: int, a: int, v: int) -> int:
     """Exact exponent of the wild prime p = n in |disc| for n in {2, 3}.
 
-    ``a`` is the signed canonical integer and ``v = v_p(a)``.
+    ``a`` is the signed canonical integer and ``v = v_p(a)``.  Any other n
+    raises ValueError.
     """
     if n == 2:
         # quadratic field/etale algebra: disc = a if a = 1 mod 4, else 4a;
         # for even a the factor v_2(a) = 1 of a is folded in here as well.
         return 0 if a % 4 == 1 else 2 + v
-    # n == 3, cube-free a = h k^2: |disc| = 3 h^2 k^2 if a^2 = 1 mod 9,
-    # else 27 h^2 k^2; the 3-part of h^2 k^2 (3 divides hk at most once)
-    # is folded in when 3 | a.
-    return 1 if a * a % 9 == 1 else 3 + (2 if v else 0)
+    if n == 3:
+        # cube-free a = h k^2: |disc| = 3 h^2 k^2 if a^2 = 1 mod 9, else
+        # 27 h^2 k^2; the 3-part of h^2 k^2 (3 divides hk at most once) is
+        # folded in when 3 | a.
+        return 1 if a * a % 9 == 1 else 3 + (2 if v else 0)
+    raise ValueError(f"exact wild exponents supported only for n in {EXACT_WILD_DEGREES}")
 
 
 def wild_local(cls: KummerClass, p: int, mode: str = "exact") -> LocalDiscData:
@@ -195,10 +198,6 @@ def wild_local(cls: KummerClass, p: int, mode: str = "exact") -> LocalDiscData:
     if cls.n % p != 0:
         raise ValueError(f"{p} does not divide n={cls.n}; use tame_local")
     if mode == "exact":
-        if cls.n not in EXACT_WILD_DEGREES:
-            raise ValueError(
-                f"exact wild exponents supported only for n in {EXACT_WILD_DEGREES}"
-            )
         e = wild_exponent(cls.n, cls.a.value, cls.a.valuation(p))
         return LocalDiscData(p, "wild", e, e)
     if mode == "interval":

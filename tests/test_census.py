@@ -236,10 +236,10 @@ def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
 
 def _streamed_count(key, B):
     """What the streaming enumerator of a routed target counts up to B."""
-    kind, n, _, ordering = key
+    kind, n, counter, ordering = key
     if kind == "cyclic":
         return sum(1 for _ in enumerate_cyclic(n, B))
-    return sum(1 for _ in enumerate_mu(n, B, ordering))
+    return sum(1 for cls, _ in enumerate_mu(n, B, ordering) if counter == "T" or is_irreducible(cls))
 
 
 # Ladders whose b0 is itself a measure the counter reaches, so that the
@@ -256,10 +256,18 @@ BOUNDARY_LADDERS = [
 ]
 
 
+# the fast keys routed before every mu_n ladder was, with their own sizes
+FIRST_KEYS = {("mu", 2, "T", "disc_exact"): 10**4, ("mu", 3, "T", "disc_exact"): 10**5,
+              ("mu", 4, "T", "disc_tame"): 10**5, ("cyclic", 3, "M", "disc_exact"): 10**5}
+
+
+def _top(key):
+    """The top rung of a fast key's test ladders."""
+    return FIRST_KEYS[key] if key in FIRST_KEYS else MU_BOUNDS[key[1], key[3]]
+
+
 def test_fast_counters_match_streaming():
-    ladders = [(key, bmax / 2**8) for key, bmax in [
-        (("mu", 2, "T", "disc_exact"), 10**4), (("mu", 3, "T", "disc_exact"), 10**5),
-        (("mu", 4, "T", "disc_tame"), 10**5), (("cyclic", 3, "M", "disc_exact"), 10**5)]]
+    ladders = [(key, _top(key) / 2**8) for key in FAST_COUNTERS]
     assert {key for key, _ in ladders} == set(FAST_COUNTERS)
     for key, b0 in ladders + BOUNDARY_LADDERS:
         kind, n, counter, ordering = key
@@ -271,10 +279,20 @@ def test_fast_counters_match_streaming():
         assert _streamed_count(key, b0) > _streamed_count(key, b0 - 1), (key, b0)
 
 
-@given(st.sampled_from(sorted(FAST_COUNTERS)),
-       st.one_of(st.integers(1, 600).map(float), st.floats(0.5, 600.0)),
-       st.integers(0, 5))
-def test_fast_counters_match_streaming_property(key, b0, doublings):
+@st.composite
+def _fast_ladders(draw):
+    key = draw(st.sampled_from(sorted(FAST_COUNTERS)))
+    doublings = draw(st.integers(0, 5))
+    if key in FIRST_KEYS:
+        b0 = draw(st.one_of(st.integers(1, 600).map(float), st.floats(0.5, 600.0)))
+    else:  # the top rung at most MU_BOUNDS, which the stream reaches quickly
+        b0 = _top(key) ** draw(st.floats(0.0, 1.0)) / 2**doublings
+    return key, b0, doublings
+
+
+@given(_fast_ladders())
+def test_fast_counters_match_streaming_property(case):
+    key, b0, doublings = case
     kind, n, counter, ordering = key
     ladder = count(LadderSpec((kind, n), counter, ordering, b0=b0, doublings=doublings))
     assert [c for _, c in ladder.points] == [_streamed_count(key, B) for B, _ in ladder.points]
@@ -283,16 +301,48 @@ def test_fast_counters_match_streaming_property(key, b0, doublings):
 # 4 table entries send every even n past the table, into the Mobius sums,
 # 6, 10 and 12 with an odd prime beside 2 among them
 @pytest.mark.parametrize("table", [census._TABLE, 4])
-@pytest.mark.parametrize("n,ordering", [key for key in sorted(MU_BOUNDS) if key[1] != "darda"])
+@pytest.mark.parametrize("n,ordering", sorted(MU_BOUNDS))
 def test_count_mu_matches_enumerate_mu(monkeypatch, n, ordering, table):
-    # the local-type counter beyond the routed keys: every n under
-    # disc_tame, n in {2, 3} under disc_exact, at every rung
+    # the local-type counter for every n under disc_tame and darda, and n
+    # in {2, 3} under disc_exact, at every rung
     monkeypatch.setattr(census, "_TABLE", table)
     bmax = MU_BOUNDS[n, ordering]
     rungs = [bmax / 2**i for i in range(10, -1, -1)]
     measures = sorted(m for _, m in enumerate_mu(n, bmax, ordering))
     want = [bisect.bisect_right(measures, B) for B in rungs]
     assert census._count_mu(n, ordering, rungs) == want
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_count_mu_darda_boundaries(n):
+    # a darda rung at a measure d^(1/N) the stream attains counts d, and the
+    # float just below it does not: the |disc| cap is exact, not slack
+    measures = sorted(m for _, m in enumerate_mu(n, MU_BOUNDS[n, "darda"], "darda"))
+    tops = sorted(set(measures))[-3:]
+    rungs = sorted(r for m in tops for r in (m, math.nextafter(m, 0)))
+    want = [bisect.bisect_right(measures, B) for B in rungs]
+    assert census._count_mu(n, "darda", rungs) == want
+    assert want[1] > want[0]
+
+
+def test_count_streams_past_the_int64_range(monkeypatch):
+    # a top rung whose |disc| cap times the largest wild cost reaches 2^62
+    # streams, as unrouted ladders do, and never overflows
+    streamed = []
+
+    def spy(spec, rungs):
+        streamed.append(spec)
+        return [-1] * len(rungs)
+
+    monkeypatch.setattr(census, "_count_mu_streaming", spy)
+    # 3.0e23 = 8192^6 for mu_3 darda; 4e18 is just inside the range
+    for target, ordering, b0, streams in [(("mu", 7), "disc_tame", 1e19, True),
+                                          (("mu", 3), "darda", 8192.0, True),
+                                          (("mu", 7), "disc_tame", 4e18, False)]:
+        spec = LadderSpec(target, "T", ordering, b0=b0, doublings=0)
+        (_, c), = count(spec).points
+        assert (streamed[-1:] == [spec]) == streams and (c == -1) == streams, spec
+    assert census._count_mu(7, "disc_tame", [1e19]) is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -325,9 +375,14 @@ def test_count_cyclic_matches_enumeration():
         assert c == sum(1 for _ in enumerate_cyclic(3, B))
 
 
+# a mu ladder that still streams: M for composite n
+STREAMED = ("mu", 6, "M", "disc_tame")
+
+
 def test_count_jobs_deterministic():
-    base = LadderSpec(("mu", 6), "T", "disc_tame", b0=10, doublings=10, jobs=1)
-    split = LadderSpec(("mu", 6), "T", "disc_tame", b0=10, doublings=10, jobs=3)
+    assert STREAMED not in FAST_COUNTERS
+    base = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=1)
+    split = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=3)
     assert count(base).points == count(split).points
 
 
@@ -343,9 +398,10 @@ def test_count_validation():
     with pytest.raises(ValueError):
         count(LadderSpec(("weird", 3), "T", "disc_exact"))
     # no rungs, on the fast route and on the streaming one
-    for target, ordering in ((("mu", 2), "disc_exact"), (("mu", 6), "disc_tame")):
+    assert STREAMED not in FAST_COUNTERS
+    for target, counter, ordering in ((("mu", 2), "T", "disc_exact"), (("mu", 6), "M", "disc_tame")):
         with pytest.raises(ValueError, match="doublings"):
-            count(LadderSpec(target, "T", ordering, doublings=-1))
+            count(LadderSpec(target, counter, ordering, doublings=-1))
 
 
 def test_count_caps_worker_processes(monkeypatch):
@@ -366,7 +422,8 @@ def test_count_caps_worker_processes(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
-    spec = LadderSpec(("mu", 6), "T", "disc_tame", b0=10, doublings=10, jobs=64)
+    assert STREAMED not in FAST_COUNTERS
+    spec = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=64)
     assert count(spec).points == count(replace(spec, jobs=1)).points
     assert seen == [min(64, os.cpu_count() or 1)]
 

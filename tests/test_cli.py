@@ -155,6 +155,19 @@ def test_fit_empty_csv_exits_1(capsys, tmp_path):
     assert "error" in err and "B,count" in err and not out
 
 
+@pytest.mark.parametrize("text,line", [
+    ("B,count\n1000.0,5\n\n2000.0,9\n", 3),
+    ("B,count\n1000.0,5\n2000.0\n", 3),
+])
+def test_fit_short_csv_row_exits_1(capsys, tmp_path, text, line):
+    # a blank line or a one-field row is named, not an IndexError traceback
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert err.startswith("error:") and f"line {line}" in err and not out
+
+
 @pytest.mark.parametrize("argv,name", [
     (["fit", "--in", "{tmp}/missing.csv"], "missing.csv"),
     (["--config", "{tmp}/missing.cfg", "kummer", "disc", "--n", "2", "--a", "3"], "missing.cfg"),

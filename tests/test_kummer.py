@@ -9,6 +9,7 @@ from stacky.kummer import (
     discriminant,
     is_irreducible,
     tame_local,
+    wild_exponent,
     wild_local,
 )
 
@@ -69,6 +70,13 @@ def test_wild_local_interval_bound():
     assert (d.lo, d.hi) == (0, 4 * 2 + 3 * 1)
     with pytest.raises(ValueError):
         wild_local(canonical(2, 4), 2, mode="exact")
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_wild_exponent_rejects_n_without_exact_exponents(n):
+    # the kernel knows exact wild exponents for n in {2, 3} only
+    with pytest.raises(ValueError, match="exact wild exponents"):
+        wild_exponent(n, 3, 0)
 
 
 def test_discriminant_known_quadratic_fields():
