@@ -9,12 +9,15 @@ cost p^(n - n/k)); ``enumerate_cyclic`` walks cyclic degree-n fields over
 the local characters of ``_local_characters``, where order k needs k | p - 1,
 the Galois twist between Bmu_n and B(Z/nZ).  ``count`` looks each ladder
 target up in ``FAST_COUNTERS`` and streams the enumerators for every other
-target.  Its mu keys, T for n = 2..12 under every ordering ``enumerate_mu``
-takes and M for prime n, share one local-type counter, ``_count_mu``, which
-counts what ``enumerate_mu`` walks from the same sectors, the same wild
-exponents (``kummer.wild_exponent``) and the same |disc| caps
-(``_disc_bound``), on numpy arrays from ``arith.sieve``; a ladder past its
-int64 range streams.  cyclic:3 counts Cohn's conductors.
+target.  Every fast key goes through one local-type counter,
+``_count_types``, which counts what a walk reaches from the tame types at
+each residue of p and the wild costs, on numpy arrays from ``arith.sieve``:
+the mu keys (T for n = 2..12 under every ordering ``enumerate_mu`` takes,
+and M for prime n) give it the sectors at every residue, the wild exponents
+of ``kummer.wild_exponent`` and the |disc| caps of ``_disc_bound``; the
+cyclic keys (M for n = 2..12) give it, for each d | n, the characters of
+order dividing d, and invert by Mobius over d.  A ladder past the
+counter's int64 range streams; one past physical memory raises ValueError.
 """
 
 from __future__ import annotations
@@ -76,8 +79,8 @@ class CountLadder:
             if header[:2] != ["B", "count"]:
                 raise ValueError("expected CSV header B,count")
             for row in rd:
-                if len(row) < 2:
-                    raise ValueError(f"line {rd.line_num}: expected B,count, got {row}")
+                if len(row) < 2 or points and float(row[0]) <= points[-1][0]:
+                    raise ValueError(f"line {rd.line_num}: expected B,count, B rising, got {row}")
                 points.append((float(row[0]), int(row[1])))
         return cls(target, counter, ordering, tuple(points))
 
@@ -245,27 +248,15 @@ class CyclicField:
     disc: int
 
 
-def _local_conductor(p: int, values: list[int], n: int) -> int:
-    """Conductor of the p-part of a character given its component values."""
-    orders = [n // math.gcd(n, c) for c in values]
-    if all(o == 1 for o in orders):
-        return 1
+def _conductor_exp(p: int, values, n: int) -> int:
+    """v_p of the conductor of the p-part of a character, given its values
+    in Z/n on the generators of (Z/p^j)^x: 1 + v_p(order) for odd p once
+    it moves; for p = 2, 2 + v_2(its order on 5) once 5 moves, else 2 once
+    -1 moves."""
+    orders = [n // math.gcd(n, c) for c in values] + [1, 1]
     if p != 2:
-        o = orders[0]
-        # smallest p^j with o | phi(p^j)
-        j = 1
-        phi = p - 1
-        while phi % o:
-            j += 1
-            phi *= p
-        return p**j
-    if len(orders) == 1:
-        # the (Z/4)^x component
-        return 4
-    o_five = orders[1]
-    if o_five == 1:
-        return 4
-    return 2 ** (o_five.bit_length() - 1 + 2)
+        return (orders[0] > 1) * (1 + valuation(orders[0], p))
+    return 2 + valuation(orders[1], 2) if orders[1] > 1 else 2 * (orders[0] > 1)
 
 
 def _local_characters(p: int, n: int) -> list[tuple[tuple[tuple[int, ...], int, int], int]]:
@@ -280,12 +271,10 @@ def _local_characters(p: int, n: int) -> list[tuple[tuple[tuple[int, ...], int, 
     for j in range(1, valuation(n, p) + (3 if p == 2 else 2)):
         comps = [2, 2 ** (j - 2)][: j - 1] if p == 2 else [p ** (j - 1) * (p - 1)]
         for values in itertools.product(*(range(0, n, n // math.gcd(n, d)) for d in comps)):
-            if _local_conductor(p, values, n) != p**j:
-                continue
-            e = sum(valuation(_local_conductor(p, [i * c % n for c in values], n), p)
-                    for i in range(1, n))
-            order = math.lcm(*(n // math.gcd(n, c) for c in values))
-            out.append(((values, p**j, order), e))
+            if _conductor_exp(p, values, n) == j:
+                e = sum(_conductor_exp(p, [i * c % n for c in values], n) for i in range(1, n))
+                order = math.lcm(*(n // math.gcd(n, c) for c in values))
+                out.append(((values, p**j, order), e))
     return out
 
 
@@ -309,17 +298,14 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     # that fix c (u = 1 mod n/c) can carry v lower
     fixing = {c: [u for u in unit_group(n) if u % (n // c) == 1 and u != 1]
               for c in range(1, n) if n % c == 0}
-    # a tame prime's table (p does not divide n) depends on p only through
-    # gcd(n, p - 1) and its conductor p: one template per gcd, stamped per p
-    tame: dict[int, list] = {}
-
     def table(p: int) -> list:
+        # a tame prime p admits the values c = s, 2s, ... (s = n / gcd(n,
+        # p - 1)) on the generator of (Z/p)^x: conductor p, order k and
+        # cost p^(n - n/k)
         if n % p == 0:
             return _local_characters(p, n)
-        g = math.gcd(n, p - 1)
-        if g not in tame:
-            tame[g] = _local_characters(p, n)
-        return [((v, p, k), e) for (v, _, k), e in tame[g]]
+        s = n // math.gcd(n, p - 1)
+        return [(((c,), p, k), n - n // k) for c in range(s, n, s) for k in [n // math.gcd(n, c)]]
 
     def fold(state, p, char):
         (values, order, cond), (v, q, k) = state, char
@@ -336,19 +322,9 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
 # fast counters: exact counts for every rung at once, from one sieve
 
 
-def _prime_rounds(values: np.ndarray, spf: np.ndarray) -> Iterator[np.ndarray]:
-    """The prime factors of each value, one array per round: round j holds
-    every value's j-th smallest prime (with multiplicity), or 1 once it has
-    none left."""
-    rest = values
-    while (rest > 1).any():
-        p = spf[rest]
-        yield p
-        rest = rest // p
-
-
-# sieve entries past which a counter with one leading sector counts the
-# squarefree d by Mobius sums instead of a prefix-sum table
+# sieve entries past which a counter with one leading type of class shift
+# 0 at every prime counts the squarefree d by Mobius sums instead of a
+# prefix-sum table
 _TABLE = 1 << 14
 
 
@@ -361,90 +337,115 @@ def _iroot(y: np.ndarray, m: int) -> np.ndarray:
     return z + ((z + 1) ** m <= y)
 
 
-def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int] | None:
-    """T(B), or M(B) for prime n, for mu_n, every rung at once: what
-    ``enumerate_mu`` walks, counted from the local types; None, before
-    anything is allocated, when a top rung's |disc| cap times its largest
-    wild cost passes the int64 range the counter works in.
+def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> list[int] | None:
+    """How many supports ``_walk`` reaches within each |disc| cap (caps
+    ascending), wild costs included, counted from the local types alone;
+    None, before anything is allocated, when the top cap times its largest
+    wild cost within that cap passes the int64 range the counter works in.
 
-    The tame supports have the Dirichlet series f = g * h over the sectors
-    of ``heights.sectors``.  g puts the r - 1 leading sectors (cost p^m,
-    m = n - n/r) on the squarefree d prime to n, read off a prefix-sum
-    table from ``arith.sieve``, and by Mobius sums past ``_TABLE`` when
-    r = 2.  h(p^j) = f(p^j) - (r - 1) h(p^(j - m)) vanishes for j <= m, so
-    its supports are few; they are swept one prime more at a time.  Each
-    (sign, wild pattern) multiplies |disc| by its wild cost.  Where the
-    wild primes are measured (n in {2, 3}, where h = 1) that cost reads the
-    tame part mod M = n^2, so the table tallies the tame parts by their
-    class mod M.  For prime n the one reducible class is a = 1, so M(B) is
-    T(B) less a = 1 where its |disc| is within the cap.
+    A tame prime p = u mod L = lcm(n, M) admits the types ``types[u]``,
+    (class exponent e, cost j) pairs, a type costing p^j and moving the
+    tame part's class mod M by p^e.  ``costs[u]`` counts the wild costs
+    beside a tame part of class u mod M; callers with M > 1 have h = 1.
+    The tame supports have the Dirichlet series f = g * h.  g puts the
+    leading types of each prime's residue (least cost p^m) on the squarefree
+    d prime to n, read off a prefix-sum table from ``arith.sieve``, and by
+    Mobius sums past ``_TABLE`` when every prime has one leading type of
+    shift 0.  h(p^j) = f(p^j) - (leading types at p) h(p^(j - m)) vanishes
+    for j <= m, so its supports are few; they are swept one prime more at a
+    time.  Past physical memory the counter raises ValueError instead of
+    allocating.
     """
-    caps = [_disc_bound(B, n, ordering) for B in rungs]
-    M = n * n if _exact_wild(n, ordering) else 1
-    units = [u % M for u in unit_group(M)]
-    costs = {u: Counter(n ** wild_exponent(n, s * w * u, v) if M > 1 else 1
-                        for s, w, v, _ in _wild_patterns(n)) for u in units}
-    if max(caps) * max(max(c) for c in costs.values()) >= 2**62:
+    top = max(caps)
+    # the units mod M, the keys of costs, are the powers of g, and g^i
+    # matters only through i mod C, g^C being the least power of g that
+    # keeps every cost
+    g = next(u for u in costs if len({pow(u, i, M) for i in range(len(costs))}) == len(costs))
+    C = next(c for c in range(1, len(costs) + 1)
+             if all(costs[pow(g, c, M) * u % M] == costs[u] for u in costs))
+    # one term per class t and wild cost c within the top cap (a weight-0
+    # term when there is none)
+    wild = [(t, c, k) for t in range(C) for c, k in costs[pow(g, t, M)].items()
+            if c <= top] or [(0, 1, 0)]
+    if top * max(c for _, c, _ in wild) >= 2**62:
         return None
-    # the units mod M are the powers of g, and g^i matters only through
-    # i mod C, g^C being the least power of g that keeps every cost
-    phi = len(units)
-    g = next(u for u in units if len({pow(u, i, M) for i in range(phi)}) == phi)
-    C = next(c for c in range(1, phi + 1)
-             if all(costs[pow(g, c, M) * u % M] == costs[u] for u in units))
-    log = np.zeros(M, dtype=np.int64)
-    log[[pow(g, i, M) for i in range(phi)]] = np.arange(phi) % C
-    bound = max(caps) // min(min(c) for c in costs.values())
-    sec, m = sectors(n).entries, sectors(n).min_value()
-    lead = Counter(e % C for e, c in sec if c == m)  # the leading sectors, e mod C
-    h = [1]  # h(p^j) for p^j <= bound
-    for j in range(1, bound.bit_length()):
-        h.append(sum(c == j for _, c in sec) - (h[j - m] if j >= m else 0) * sum(lead.values()))
-    # p^j for each type, over the same primes prime to n: index i is one prime
-    pw = [(c, np.array(pj, dtype=np.int64)) for j, c in enumerate(h) if j and c and (pj := [
-        p**j for p in primes_up_to(int(bound ** (1 / j)) + 1) if n % p and p**j <= bound])]
+    log = {pow(g, i, M): i % C for i in range(len(costs))}
+    bound = top // min(c for _, c, _ in wild)
+    m = min(j for ts in types.values() for _, j in ts)
+    # P[u]: the leading types at residue u as a polynomial in the class
+    # shift; H[u][j] = h(p^j) at p = u mod L
+    L = math.lcm(n, M)
+    P = [[0] * C for _ in range(L)]
+    H = [[1] + [0] * bound.bit_length() for _ in range(L)]
+    for u, ts in types.items():
+        f = Counter(j for _, j in ts)  # f(p^j)
+        for e, j in ts:
+            P[u][e * log[u % M] % C] += j == m
+        for j in range(m, len(H[u])):
+            H[u][j] = f[j] - f[m] * H[u][j - m]
 
-    # the supports of h, one prime more per sweep: weight, k and the index
-    # of the largest prime
-    W, K, I = (np.array([x]) for x in (1, 1, -1))
+    zmax = int(_iroot(np.array([bound]), m)[0])
+    mobius = all(P[u] == [1] + [0] * (C - 1) for u in types)
+    Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius else zmax
+    # peak memory is about 32 bytes a sieve entry per class row (the sieve,
+    # the squarefree d, V and a round's arrays; 27-33 measured for C = 1,
+    # 94 for C = 3)
+    if (Z + 1) * 32 * C > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"counting to |disc| {top} needs more than physical memory")
+
+    # p^j for each j with h(p^j) != 0, over the same primes prime to n:
+    # index i is one prime, weighted by h(p^j) at its residue
+    js = [j for j in range(m + 1, len(H[0])) if any(h[j] for h in H)]
+    ps = [p for p in primes_up_to(int(bound ** (1 / js[0])) + 1) if n % p] if js else []
+    H = np.array(H)
+    pw = [(H[np.array(ps[:len(pj)], dtype=np.int64) % L, j], np.array(pj, dtype=np.int64))
+          for j in js for pj in [list(itertools.takewhile(bound.__ge__, (p**j for p in ps)))]]
+    # the supports of h times each wild cost c, one prime more per sweep:
+    # weight, k, the index of the largest prime and the class t beside the
+    # wild cost; a support of weight 0 counts nothing
+    W, K, I, R = (np.array(x) for x in zip(*((k, c, -1, t) for t, c, k in wild)))
     sup = []
     while len(K):
-        sup.append((W, K))
-        y, new = bound // K, [(W[:0], K[:0], I[:0])]
-        for c, pj in pw:
+        sup.append((W, K, R))
+        y, new = top // K, [(W[:0], K[:0], I[:0], R[:0])]
+        for w, pj in pw:
             # no support can pay the next prime's p^j: skip the sweep
             if len(pj) > I.min() + 1 and pj[I.min() + 1] <= y.max():
                 cnt = np.maximum(np.searchsorted(pj, y, side="right") - I - 1, 0)
                 rep = np.repeat(np.arange(len(K)), cnt)
                 i = np.arange(len(rep)) - np.repeat(np.cumsum(cnt) - cnt - I - 1, cnt)
-                new.append((W[rep] * c, K[rep] * pj[i], i))
-        W, K, I = (np.concatenate(x) for x in zip(*new))
-    W, K = (np.concatenate(x) for x in zip(*sup))
-    # one term per support k, class t and wild cost c: weight times the
-    # tame parts of class t over the d with k c d^m <= B
-    Q, Wt, R = (np.concatenate(x) for x in zip(*((K * c, W * k, np.full(len(K), t))
-                for t in range(C) for c, k in costs[pow(g, t, M)].items())))
+                new.append((W[rep] * w[i], K[rep] * pj[i], i, R[rep]))
+        W, K, I, R = (np.concatenate(x) for x in zip(*new))
+        W, K, I, R = (x[nz] for nz in [W != 0] for x in (W, K, I, R))
+    # one term per support q = k c: its weight times the tame parts of class
+    # t over the d with q d^m <= B
+    Wt, Q, R = (np.concatenate(x) for x in zip(*sup))
 
-    # V[t, d]: the tame parts over the squarefree d prime to n, of class t;
-    # a leading sector p^e moves class t to t + e log(p) mod C
-    zmax = int(_iroot(np.array([bound]), m)[0])
-    L = max(math.isqrt(zmax), min(zmax, _TABLE)) if lead == {0: 1} else zmax
-    spf, mu = sieve(L)
+    # V[t, d]: the tame parts over the squarefree d prime to n, of class t,
+    # built one prime of every live d per round; a leading type p^e moves
+    # class t to t + e log(p) mod C.  A d leaves when its weight is 0 or it
+    # has no prime left, and is then written to V.
+    spf, mu = sieve(Z)
     for p, _ in factor(n).factors:
         mu[::p] = 0
     d = np.flatnonzero(mu)
-    V = np.zeros((C, L + 1), dtype=np.int64)  # int: float dots would start BLAS threads
-    V[0, d] = 1
-    for p in () if lead == {0: 1} else _prime_rounds(d, spf):
-        x = np.where(p > 1, log[p % M], C)
-        for c in range(C):
-            cols = d[x == c]
-            V[:, cols] = sum(k * np.roll(V[:, cols], e * c, axis=0) for e, k in lead.items())
-    tab = V.cumsum(axis=1)
+    V = np.zeros((C, Z + 1), dtype=np.int64)  # int: float dots would start BLAS threads
+    V[0, d if mobius else 1] = 1
+    P = np.array(P, dtype=np.int8).T
+    live = d[1:] if not mobius else d[:0]  # d[0] = 1 has no prime
+    rest, G = live, np.repeat(np.eye(C, 1, dtype=np.int64), len(live), axis=1)
+    while len(live):
+        x = np.take(P, spf[rest] % L, axis=1)
+        rest = rest // spf[rest]
+        G = sum((x[s] * np.roll(G, s, axis=0) for s in range(1, C)), x[0] * G)
+        V[:, live[done]] = G[:, done := np.flatnonzero(G.any(axis=0) & (rest == 1))]
+        k = np.flatnonzero(G.any(axis=0) & (rest > 1))
+        live, rest, G = live[k], rest[k], np.take(G, k, axis=1)
+    tab = V.cumsum(axis=1, out=V)
 
     # past the table, the squarefree d <= z prime to n number
     # sum_e mu(e) phi_n(z // e^2), the e past z^(1/3) grouped by z // e^2
-    mertens = np.cumsum(mu, dtype=np.int64)
+    mertens = np.cumsum(mu, dtype=np.int64) if mobius else None
     coprime = np.cumsum([0] + [math.gcd(j, n) == 1 for j in range(1, n)])
 
     def phi_n(y):  # the j <= y prime to n
@@ -457,38 +458,60 @@ def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> 
         return int(mu[e] @ phi_n(z // (e * e))
                    + phi_n(np.arange(1, s + 1)) @ (mertens[x[:-1]] - mertens[x[1:]]))
 
-    def count_at(cap: int) -> int:
-        z = _iroot(cap // Q, m)
-        big = z > L
-        return int(Wt[~big] @ tab[R[~big], z[~big]]) + sum(
-            int(w) * past(int(x)) for w, x in zip(Wt[big], z[big]))
+    # every (cap, term) pair with the term within the cap, as indices c, i:
+    # term i is within the caps from its first one on
+    first = np.searchsorted(caps, Q)
+    cnt = len(caps) - first
+    i = np.repeat(np.arange(len(Q)), cnt)
+    c = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+    z = _iroot(np.array(caps)[c] // Q[i], m)
+    counts = np.zeros(len(caps), dtype=np.int64)
+    np.add.at(counts, c, Wt[i] * tab[R[i], np.minimum(z, Z)])
+    for j in np.flatnonzero(z > Z):  # past the table
+        counts[c[j]] += int(Wt[i[j]]) * (past(int(z[j])) - int(tab[R[i[j]], Z]))
+    return counts.tolist()
 
-    one = n ** wild_exponent(n, 1, 0) if M > 1 else 1  # the |disc| of a = 1
-    return [count_at(cap) - (counter == "M" and cap >= one) for cap in caps]
 
-
-def _count_cyclic3(rungs: list[float]) -> list[int]:
-    """M(B) for cyclic cubic fields from Cohn's conductors.
-
-    A conductor is f = 9^e * m with m a product of distinct primes = 1 mod
-    3, and carries 2^(omega(f) - 1) fields of discriminant f^2; so the
-    count at B is a prefix sum of these weights up to isqrt(B).
+def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int] | None:
+    """T(B), or M(B) for prime n, for mu_n, every rung at once: what
+    ``enumerate_mu`` walks, counted by ``_count_types`` from the same
+    sectors (``heights.sectors``) at every prime, the same wild exponents
+    (``kummer.wild_exponent``) and the same |disc| caps (``_disc_bound``).
+    Where the wild primes are measured (n in {2, 3}) the wild cost reads
+    the tame part mod M = n^2.  For prime n the one reducible class is
+    a = 1, so M(B) is T(B) less a = 1 where its |disc| is within the cap.
     """
-    F = math.isqrt(math.floor(rungs[-1]))
-    spf, mu = sieve(F)
-    m = np.flatnonzero(mu)  # squarefree, 1 first
-    good = np.ones(len(m), dtype=bool)
-    omega = np.zeros(len(m), dtype=np.int64)
-    for p in _prime_rounds(m, spf):
-        good &= p % 3 == 1  # 1 once a value has no prime left
-        omega += p > 1
-    m, omega = m[good], omega[good]
-    fields = np.zeros(F + 1, dtype=np.int64)
-    fields[m[1:]] = 1 << (omega[1:] - 1)
-    nine = 9 * m <= F  # 3 does not divide m, so f = 9m meets no f = m
-    fields[9 * m[nine]] = 1 << omega[nine]
-    cum = np.cumsum(fields)
-    return [int(cum[math.isqrt(math.floor(B))]) for B in rungs]
+    caps = [_disc_bound(B, n, ordering) for B in rungs]
+    M = n * n if _exact_wild(n, ordering) else 1
+    costs = {u % M: Counter(n ** wild_exponent(n, s * w * u, v) if M > 1 else 1
+                            for s, w, v, _ in _wild_patterns(n)) for u in unit_group(M)}
+    types = dict.fromkeys(unit_group(math.lcm(n, M)), sectors(n).entries)
+    one = n ** wild_exponent(n, 1, 0) if M > 1 else 1  # the |disc| of a = 1
+    counts = _count_types(n, caps, types, costs, M)
+    return counts and [c - (counter == "M" and cap >= one) for c, cap in zip(counts, caps)]
+
+
+def _count_cyclic(n: int, rungs: list[float]) -> list[int] | None:
+    """M(B) for cyclic degree-n fields, every rung at once: the characters
+    of order exactly n, over phi(n), are sum_{d | n} mu(n/d) C_d, C_d
+    counting the characters of order dividing d.  ``_count_types`` counts
+    C_d from the tame types of order k | gcd(d, p - 1), phi(k) of cost p^(n - n/k)
+    each, and the wild costs of ``_local_characters`` of order dividing d.
+    """
+    caps = [math.floor(B) for B in rungs]
+    mob = sieve(n)[1].tolist()  # mob[n // d] = mu(n/d)
+    total = [mob[n] * (cap >= 1) for cap in caps]  # C_1 = 1
+    for d in (d for d in range(2, n + 1) if n % d == 0 and mob[n // d]):
+        types = {u: [(0, n - n // k) for k in range(2, d + 1) if d % k == 0 == (u - 1) % k
+                     for _ in unit_group(k)] for u in unit_group(n)}
+        wild = Counter(map(math.prod, itertools.product(*(
+            [1] + [p**e for (_, _, k), e in _local_characters(p, n) if d % k == 0]
+            for p, _ in factor(n).factors))))
+        counts = _count_types(n, caps, types, {0: wild}, 1)
+        if counts is None:
+            return None
+        total = [t + mob[n // d] * c for t, c in zip(total, counts)]
+    return [t // len(types) for t in total]  # one key of types per unit mod n
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +539,24 @@ def _mu_partition_counts(args) -> list[int]:
 
 
 # (kind, n, counter, ordering) -> exact counter of every rung at once: mu_n
-# T under every ordering enumerate_mu takes, and M for prime n
+# T under every ordering enumerate_mu takes, M for prime n, and the cyclic
+# fields of every degree enumerate_cyclic takes
 FAST_COUNTERS = {
     **{("mu", n, c, o): partial(_count_mu, n, o, counter=c)
        for n in range(2, 13) for o in ORDERINGS if o != "disc_exact" or n in EXACT_WILD_DEGREES
        for c in "TM" if c == "T" or smallest_prime_factor(n) == n},
-    ("cyclic", 3, "M", "disc_exact"): _count_cyclic3,
+    **{("cyclic", n, "M", "disc_exact"): partial(_count_cyclic, n) for n in range(2, 13)},
 }
 
 
 def count(spec: LadderSpec) -> CountLadder:
     """Build the count ladder for a census target.
 
-    Targets in ``FAST_COUNTERS`` go through their closed-form or sieve
-    counter; every other target, and a mu_n ladder past the int64 range of
-    ``_count_mu``, streams its enumerator, a mu_n one optionally split over
-    ``jobs`` deterministic partitions.
+    Targets in ``FAST_COUNTERS`` go through the local-type counter
+    ``_count_types``; every other target, and a ladder past that counter's
+    int64 range, streams its enumerator, a mu_n one optionally split over
+    ``jobs`` deterministic partitions.  A fast ladder whose tables would
+    not fit in physical memory raises ValueError.
     """
     kind, n = spec.target
     if spec.doublings < 0:

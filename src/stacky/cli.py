@@ -47,7 +47,9 @@ def _parse_group(spec: str):
     return closure(gens)
 
 
-def _parse_field(text: str):
+def _parse_field(text: str, exponent: int):
+    """The base field of ``--field``; units:m:g1,g2 must name m = the group
+    exponent, the modulus the generators are read in."""
     text = text.strip()
     if text == "Q":
         return "Q"
@@ -55,6 +57,8 @@ def _parse_field(text: str):
         return ("zeta", int(text[len("Q(zeta_"):-1]))
     if text.startswith("units:"):
         _, m, gens = text.split(":")
+        if int(m) != exponent:
+            raise ValueError(f"field {text!r}: units must be mod the group exponent {exponent}")
         return [int(g) for g in gens.split(",") if g]
     raise ValueError(f"cannot parse field {text!r} (want Q, Q(zeta_d), or units:m:g1,g2)")
 
@@ -76,7 +80,7 @@ def _cmd_malle(args) -> int:
         else:
             print(_rat(inv.a) if inv.a.denominator > 1 else str(inv.a.numerator))
         return 0
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, G.exponent)
     sig = cyclotomic_image(G.exponent, field)
     inv = malle_invariants(G, sig)
     payload = {

@@ -225,6 +225,54 @@ def test_tame_local_types_differ_by_the_galois_twist(n):
             assert chars == {(k, p, n - n // k): _phi(k) for k in orders if (p - 1) % k == 0}, p
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_count_cyclic_reads_the_local_characters(monkeypatch, n):
+    # _count_cyclic counts C_d, the characters of order dividing d, for
+    # every d | n with mu(n/d) != 0 (C_1 = 1 needs no count): its tame types
+    # at p = u mod n and its wild costs are those of _local_characters
+    calls = []
+    monkeypatch.setattr(census, "_count_types", lambda *args: calls.append(args) or [0])
+    census._count_cyclic(n, [1e6])
+    want = {d for d in range(2, n + 1)
+            if n % d == 0 and all(e == 1 for _, e in factor(n // d).factors)}
+    units = {u for u in range(1, n + 1) if math.gcd(u, n) == 1}
+    assert len(calls) == len(want)
+    for _, caps, types, costs, M in calls:
+        d = math.lcm(*(n // (n - j) for _, j in types[1]))  # p = 1 mod n admits every k | d
+        want.discard(d)
+        assert (caps, M, set(types)) == ([10**6], 1, units)
+        for p in primes_up_to(300):
+            if n % p:
+                chars = Counter(e for (_, q, k), e in census._local_characters(p, n) if d % k == 0)
+                assert Counter(j for _, j in types[p % n]) == chars, (d, p)
+        wild = Counter({1: 1})
+        for p, _ in factor(n).factors:
+            local = [1] + [p**e for (_, _, k), e in census._local_characters(p, n) if d % k == 0]
+            wild = Counter(w * c for w in wild.elements() for c in local)
+        assert costs == {0: wild}, d
+    assert not want
+
+
+@pytest.fixture
+def small_memory(monkeypatch):
+    """Report 64 KiB of physical memory."""
+    monkeypatch.setattr(os, "sysconf", lambda name: 16 if name == "SC_PHYS_PAGES" else 4096)
+
+
+def test_count_refuses_tables_past_physical_memory(small_memory, no_numpy_alloc):
+    # a table the machine cannot hold raises ValueError before anything is
+    # allocated: mu_2 on Mobius sums, mu_3 on C = 3 class rows
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="physical memory"):
+            count(LadderSpec(("mu", n), "T", "disc_exact", b0=1e12, doublings=0))
+
+
+def test_count_cyclic_refuses_tables_past_physical_memory(small_memory):
+    # the cyclic route reads the same guard (it allocates mu(n/d) first)
+    with pytest.raises(ValueError, match="physical memory"):
+        count(LadderSpec(("cyclic", 3), "M", "disc_exact", b0=1e12, doublings=0))
+
+
 def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
     # prime caps past the sieve's 2^31: 7.5e11 for mu_3 darda at 8192
     # (|disc| <= 8192^6), and 1e10 for quadratic fields to 1e10
@@ -244,8 +292,9 @@ def _streamed_count(key, B):
 
 # Ladders whose b0 is itself a measure the counter reaches, so that the
 # first rung sits exactly on a boundary: 8 (a = 2), 108 = 27 * 2^2 (a = 2),
-# the tame 27 = 3^3 and 49 = 7^2 (a = 3 and a = 7^2), and the cyclic cubic
-# conductors 7 and 9.
+# the tame 27 = 3^3 and 49 = 7^2 (a = 3 and a = 7^2), the cyclic cubic
+# conductors 7 and 9, the two cyclic quartic fields of conductor 16 (|disc|
+# 2^11, all wild) and the cyclic sextic field of conductor 9 (3^9).
 BOUNDARY_LADDERS = [
     (("mu", 2, "T", "disc_exact"), 8),
     (("mu", 3, "T", "disc_exact"), 108),
@@ -253,6 +302,8 @@ BOUNDARY_LADDERS = [
     (("mu", 4, "T", "disc_tame"), 49),
     (("cyclic", 3, "M", "disc_exact"), 49),
     (("cyclic", 3, "M", "disc_exact"), 81),
+    (("cyclic", 4, "M", "disc_exact"), 2048),
+    (("cyclic", 6, "M", "disc_exact"), 19683),
 ]
 
 
@@ -263,7 +314,10 @@ FIRST_KEYS = {("mu", 2, "T", "disc_exact"): 10**4, ("mu", 3, "T", "disc_exact"):
 
 def _top(key):
     """The top rung of a fast key's test ladders."""
-    return FIRST_KEYS[key] if key in FIRST_KEYS else MU_BOUNDS[key[1], key[3]]
+    kind, n, _, ordering = key
+    if key in FIRST_KEYS:
+        return FIRST_KEYS[key]
+    return CYCLIC_BOUNDS[n] if kind == "cyclic" else MU_BOUNDS[n, ordering]
 
 
 def test_fast_counters_match_streaming():
@@ -343,6 +397,15 @@ def test_count_streams_past_the_int64_range(monkeypatch):
         (_, c), = count(spec).points
         assert (streamed[-1:] == [spec]) == streams and (c == -1) == streams, spec
     assert census._count_mu(7, "disc_tame", [1e19]) is None
+
+    # cyclic quintics: the wild cost 5^8 of conductor 25 reads against the
+    # top cap, 1e14 * 5^8 past 2^62 and 1e12 * 5^8 inside it
+    monkeypatch.setattr(census, "enumerate_cyclic",
+                        lambda n, B: streamed.append((n, B)) or iter(()))
+    for b0, streams in [(1e14, True), (1e12, False)]:
+        (_, c), = count(LadderSpec(("cyclic", 5), "M", "disc_exact", b0=b0, doublings=0)).points
+        assert (streamed[-1] == (5, b0)) == streams and (c == 0) == streams, b0
+    assert census._count_cyclic(5, [1e14]) is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -434,6 +497,16 @@ def test_ladder_csv_roundtrip(tmp_path):
     ladder.to_csv(str(path))
     back = CountLadder.from_csv(str(path))
     assert back.points == ladder.points
+
+
+def test_ladder_csv_rejects_b_not_rising(tmp_path):
+    # fit reads the top half of the rows: a B column out of order would fit
+    # the wrong ones
+    path = tmp_path / "bad.csv"
+    for text, line in (("B,count\n2000.0,9\n1000.0,5\n", 3), ("B,count\n1.0,1\n1.0,1\n", 3)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}"):
+            CountLadder.from_csv(str(path))
 
 
 def test_ladder_csv_rejects_bad_header(tmp_path):

@@ -59,6 +59,14 @@ def test_malle_units_field(capsys):
     assert out.strip() == "2"
 
 
+def test_malle_units_field_modulus_is_the_exponent(capsys):
+    # units:m:g... reads the generators mod m, which must be G's exponent
+    code, _, err = run(capsys, "malle", "b", "--group", "cyclic_regular:6",
+                       "--field", "units:99:5")
+    assert code == 1
+    assert "exponent 6" in err
+
+
 def test_kummer_disc(capsys):
     obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
     assert obj["value"] == 675
