@@ -342,14 +342,7 @@ def cyclotomic_image(m: int, field: str | tuple | Sequence[int] = "Q") -> Cyclot
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
+    return factor(n).factors[0][0]
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -8,15 +8,16 @@ tame primes admit every twisted sector of ``heights.sectors`` (order k | n,
 cost p^(n - n/k)); ``enumerate_cyclic`` walks cyclic degree-n fields over
 the local characters of ``_local_characters``, where order k needs k | p - 1,
 the Galois twist between Bmu_n and B(Z/nZ).  ``count`` looks each ladder
-target up in ``FAST_COUNTERS`` and streams the enumerators for every other
-target.  Every fast key goes through one local-type counter,
-``_count_types``, which counts what a walk reaches from the tame types at
-each residue of p and the wild costs, on numpy arrays from ``arith.sieve``:
-the mu keys (T for n = 2..12 under every ordering ``enumerate_mu`` takes,
-and M for prime n) give it the sectors at every residue, the wild exponents
-of ``kummer.wild_exponent`` and the |disc| caps of ``_disc_bound``; the
-cyclic keys (M for n = 2..12) give it, for each d | n, the characters of
-order dividing d, and invert by Mobius over d.  A ladder past the
+target up in ``FAST_COUNTERS``; the M counter of a mu target whose T key is
+there streams ``enumerate_mu``, and any other target raises.  Every fast
+key goes through one local-type counter, ``_count_types``, which counts
+what a walk reaches from the tame types at each residue of p and the wild
+costs, on numpy arrays from ``arith.sieve``: the mu keys (T for n = 2..12
+under every ordering ``enumerate_mu`` takes, and M for prime n) give it
+the sectors at every residue, the wild exponents of
+``kummer.wild_exponent`` and the |disc| caps of ``_disc_bound``; the cyclic
+keys (M for n = 2..12) give it, for each d | n, the characters of order
+dividing d, and invert by Mobius over d.  A ladder past the
 counter's int64 range streams; one past physical memory raises ValueError.
 """
 
@@ -340,8 +341,10 @@ def _iroot(y: np.ndarray, m: int) -> np.ndarray:
 def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> list[int] | None:
     """How many supports ``_walk`` reaches within each |disc| cap (caps
     ascending), wild costs included, counted from the local types alone;
-    None, before anything is allocated, when the top cap times its largest
-    wild cost within that cap passes the int64 range the counter works in.
+    None, before anything is allocated, when the top cap reaches 2^62, past
+    the int64 range the counter works in.  Every product it forms stays
+    within the top cap: the h sweep starts at each wild cost and prunes by
+    top // k.
 
     A tame prime p = u mod L = lcm(n, M) admits the types ``types[u]``,
     (class exponent e, cost j) pairs, a type costing p^j and moving the
@@ -367,7 +370,7 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
     # term when there is none)
     wild = [(t, c, k) for t in range(C) for c, k in costs[pow(g, t, M)].items()
             if c <= top] or [(0, 1, 0)]
-    if top * max(c for _, c, _ in wild) >= 2**62:
+    if top >= 2**62:
         return None
     log = {pow(g, i, M): i % C for i in range(len(costs))}
     bound = top // min(c for _, c, _ in wild)
@@ -552,27 +555,29 @@ FAST_COUNTERS = {
 def count(spec: LadderSpec) -> CountLadder:
     """Build the count ladder for a census target.
 
-    Targets in ``FAST_COUNTERS`` go through the local-type counter
-    ``_count_types``; every other target, and a ladder past that counter's
-    int64 range, streams its enumerator, a mu_n one optionally split over
-    ``jobs`` deterministic partitions.  A fast ladder whose tables would
-    not fit in physical memory raises ValueError.
+    ``FAST_COUNTERS`` decides the route.  A key in the table goes through
+    the local-type counter ``_count_types``.  The M counter of a mu target
+    whose T key is in the table streams ``enumerate_mu`` through the
+    irreducibility test, optionally split over ``jobs`` deterministic
+    partitions.  Every other key raises ValueError before anything is
+    enumerated.  A fast ladder past the counter's int64 range streams its
+    enumerator; one whose tables would not fit in physical memory raises
+    ValueError.
     """
     kind, n = spec.target
     if spec.doublings < 0:
         raise ValueError(f"doublings must be >= 0, got {spec.doublings}")
-    rungs = spec.rungs()
     fast = FAST_COUNTERS.get((kind, n, spec.counter, spec.ordering))
+    streamed = (kind == "mu" and spec.counter == "M"
+                and ("mu", n, "T", spec.ordering) in FAST_COUNTERS)
+    if fast is None and not streamed:
+        raise ValueError(f"no census of {kind}:{n}, counter {spec.counter}, "
+                         f"ordering {spec.ordering}")
+    rungs = spec.rungs()
     # a fast counter answers None for rungs past its range, which stream
     if fast is None or (counts := fast(rungs)) is None:
-        if kind == "mu":
-            counts = _count_mu_streaming(spec, rungs)
-        elif kind == "cyclic":
-            if spec.counter != "M":
-                raise ValueError("cyclic censuses count fields (counter M)")
-            counts = _rung_counts((d for _, d in enumerate_cyclic(n, rungs[-1])), rungs)
-        else:
-            raise ValueError(f"unknown target {kind!r}")
+        counts = (_count_mu_streaming(spec, rungs) if kind == "mu" else
+                  _rung_counts((d for _, d in enumerate_cyclic(n, rungs[-1])), rungs))
     points = tuple((b, c) for b, c in zip(rungs, counts))
     return CountLadder(f"{kind}:{n}", spec.counter, spec.ordering, points)
 

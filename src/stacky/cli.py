@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .heights import (
     sectors,
 )
 from .kummer import canonical, discriminant, is_irreducible
-from .malle import group_preset, malle_invariants, signature_for_field
+from .malle import PRESETS, group_preset, malle_invariants, signature_for_field
 from .permgrp import closure, parse_group_spec
 
 
@@ -37,14 +38,11 @@ def _rat(q: Fraction) -> str:
 
 
 def _parse_group(spec: str):
-    if spec.startswith("preset:"):
-        gens = group_preset(spec[len("preset:"):])
-    else:
-        try:
-            gens = group_preset(spec)
-        except ValueError:
-            gens = parse_group_spec(spec)
-    return closure(gens)
+    """A preset (named with or without "preset:") or cycle notation.  A spec
+    led by a preset name is a preset, so that its own errors reach the user."""
+    name = spec.removeprefix("preset:")
+    preset = name != spec or re.match(r"\s*(\w*)", spec)[1] in PRESETS
+    return closure(group_preset(name) if preset else parse_group_spec(spec))
 
 
 def _parse_field(text: str, exponent: int):

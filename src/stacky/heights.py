@@ -78,10 +78,10 @@ def eszb_height(cls: KummerClass, mode: str = "exact"):
 
 
 def darda_denominator(n: int) -> int:
-    """N = n^2 - n^2/r, r the smallest prime factor of n: the quasi-discriminant
-    height is |disc|^(1/N)."""
-    r = smallest_prime_factor(n)
-    return n * n - n * n // r
+    """N = n^2 - n^2/r, r the smallest prime factor of n: n times the least
+    index of a twisted sector.  The quasi-discriminant height is
+    |disc|^(1/N)."""
+    return n * sectors(n).min_value()
 
 
 def darda_local(cls: KummerClass, place, mode: str = "exact") -> float:
@@ -187,11 +187,9 @@ def D_aprime(cls: KummerClass, a_prime: float, mode: str = "exact") -> float:
 
 
 def a_eszb_closed(n: int) -> Fraction:
-    """Threshold exponent 2/(n - n/r), r the smallest prime factor of n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    r = smallest_prime_factor(n)
-    return Fraction(2, n - n // r)
+    """Threshold exponent 2/(n - n/r), r the smallest prime factor of n:
+    2 over the least index of a twisted sector."""
+    return Fraction(2, sectors(n).min_value())
 
 
 def a_eszb_witness(n: int, a_prime: float, k: int) -> float:

@@ -62,13 +62,8 @@ def is_irreducible(cls: KummerClass) -> bool:
     4 | n and a lies in -4 (Q^x)^4.
     """
     n, a = cls.n, cls.a
-    m = n
-    while m > 1:
-        q = smallest_prime_factor(m)
-        if _is_qth_power(a, q):
-            return False
-        while m % q == 0:
-            m //= q
+    if any(_is_qth_power(a, q) for q, _ in factor(n).factors):
+        return False
     if n % 4 == 0 and _in_minus_four_fourth_powers(a):
         return False
     return True

@@ -277,9 +277,9 @@ def closure(generators: list[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
         # row k * len(generators) + j holds frontier[k] * generators[j]
         prods = frontier[:, gens0].reshape(len(frontier) * len(gens0), degree)
         keys, first = np.unique(_row_keys(prods), return_index=True)
-        new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
-        # a stable sort merges the two sorted runs in linear time
-        seen = np.sort(np.concatenate([seen, keys[new]]), kind="stable")
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        seen = np.insert(seen, at[new], keys[new])
         if len(seen) > cap:
             raise ValueError(f"group exceeds element cap {cap}")
         frontier = prods[np.sort(first[new])]
@@ -425,14 +425,6 @@ def gamma_orbits(
 
 
 def is_transitive(G: PermGroup) -> bool:
-    """True iff the group has a single orbit on {1..n}."""
-    reached = {1}
-    frontier = [1]
-    while frontier:
-        i = frontier.pop()
-        for g in G.generators:
-            j = g(i)
-            if j not in reached:
-                reached.add(j)
-                frontier.append(j)
-    return len(reached) == G.degree
+    """True iff the group has a single orbit on {1..n}: the images of 1
+    under its elements cover every point."""
+    return bool(np.bincount(G.rows[:, 0], minlength=G.degree).all())

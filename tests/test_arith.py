@@ -270,5 +270,7 @@ def test_smallest_prime_factor():
     assert smallest_prime_factor(2) == 2
     assert smallest_prime_factor(91) == 7
     assert smallest_prime_factor(97) == 97
+    # both factors lie past the trial-division bound
+    assert smallest_prime_factor((2**31 - 1) * (2**61 - 1)) == 2**31 - 1
     with pytest.raises(ValueError):
         smallest_prime_factor(1)

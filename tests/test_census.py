@@ -380,8 +380,8 @@ def test_count_mu_darda_boundaries(n):
 
 
 def test_count_streams_past_the_int64_range(monkeypatch):
-    # a top rung whose |disc| cap times the largest wild cost reaches 2^62
-    # streams, as unrouted ladders do, and never overflows
+    # a top rung whose |disc| cap reaches 2^62 streams, as the M twins of
+    # the mu keys do, and never overflows
     streamed = []
 
     def spy(spec, rungs):
@@ -398,14 +398,14 @@ def test_count_streams_past_the_int64_range(monkeypatch):
         assert (streamed[-1:] == [spec]) == streams and (c == -1) == streams, spec
     assert census._count_mu(7, "disc_tame", [1e19]) is None
 
-    # cyclic quintics: the wild cost 5^8 of conductor 25 reads against the
-    # top cap, 1e14 * 5^8 past 2^62 and 1e12 * 5^8 inside it
+    # cyclic quintics read the top cap alone: 1e19 streams, and 1e14, whose
+    # cap times the wild cost 5^8 of conductor 25 passes 2^62, does not
     monkeypatch.setattr(census, "enumerate_cyclic",
                         lambda n, B: streamed.append((n, B)) or iter(()))
-    for b0, streams in [(1e14, True), (1e12, False)]:
+    for b0, streams in [(1e19, True), (1e14, False), (1e12, False)]:
         (_, c), = count(LadderSpec(("cyclic", 5), "M", "disc_exact", b0=b0, doublings=0)).points
         assert (streamed[-1] == (5, b0)) == streams and (c == 0) == streams, b0
-    assert census._count_cyclic(5, [1e14]) is None
+    assert census._count_cyclic(5, [1e19]) is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -460,6 +460,15 @@ def test_count_validation():
         count(LadderSpec(("cyclic", 3), "T", "disc_exact"))
     with pytest.raises(ValueError):
         count(LadderSpec(("weird", 3), "T", "disc_exact"))
+    # keys that are neither in the table nor the M twin of a mu key in it
+    # raise before anything is enumerated: cyclic fields are measured by
+    # |disc| alone, and mu_4 has no exact wild exponents
+    for target, counter, ordering in ((("cyclic", 3), "M", "darda"),
+                                      (("cyclic", 3), "M", "disc_tame"),
+                                      (("mu", 4), "T", "disc_exact"),
+                                      (("mu", 13), "T", "disc_tame")):
+        with pytest.raises(ValueError, match=f"{target[0]}:{target[1]}, counter {counter}"):
+            count(LadderSpec(target, counter, ordering))
     # no rungs, on the fast route and on the streaming one
     assert STREAMED not in FAST_COUNTERS
     for target, counter, ordering in ((("mu", 2), "T", "disc_exact"), (("mu", 6), "M", "disc_tame")):

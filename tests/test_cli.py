@@ -67,6 +67,13 @@ def test_malle_units_field_modulus_is_the_exponent(capsys):
     assert "exponent 6" in err
 
 
+def test_malle_preset_errors_reach_the_user(capsys):
+    # a spec led by a preset name is never re-read as cycle notation
+    code, out, err = run(capsys, "malle", "a", "--group", "symmetric:9")
+    assert code == 1 and not out
+    assert "symmetric supports 2 <= n <= 8" in err
+
+
 def test_kummer_disc(capsys):
     obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
     assert obj["value"] == 675
@@ -191,6 +198,15 @@ def test_census_bad_target(capsys):
     code, _, err = run(capsys, "census", "--target", "weird:3")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("order", ["darda", "tame"])
+def test_census_cyclic_rejects_orderings_it_cannot_measure(capsys, order):
+    # cyclic fields are counted by |disc| alone
+    code, out, err = run(capsys, "census", "--target", "cyclic:3", "--counter", "M",
+                         "--order", order, "--B0", "1e3", "--Bmax", "8e3")
+    assert code == 1 and not out
+    assert "cyclic:3" in err and "ordering" in err
 
 
 @pytest.mark.parametrize("b0,bmax", [("0", "1e4"), ("-5", "1e4"), ("1e4", "1e3"), ("1e3", "inf")])

@@ -9,6 +9,7 @@ from stacky.heights import (
     a_eszb_closed,
     a_eszb_witness,
     abc_invariants,
+    darda_denominator,
     darda_global,
     darda_local,
     edd,
@@ -128,6 +129,17 @@ def test_a_eszb_closed():
     assert a_eszb_closed(9) == Fraction(1, 3)
     with pytest.raises(ValueError):
         a_eszb_closed(1)
+
+
+def test_least_sector_index_formulas():
+    # both read the least sector index n - n/r, r the smallest prime factor
+    # of n, found here by trial division
+    for n in range(2, 31):
+        r = next(r for r in range(2, n + 1) if n % r == 0)
+        assert darda_denominator(n) == n * n - n * n // r, n
+        assert a_eszb_closed(n) == Fraction(2, n - n // r), n
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        darda_denominator(1)
 
 
 def test_a_eszb_witness_threshold_is_flat():

@@ -164,6 +164,10 @@ def test_index_invariant_under_coprime_powers():
 def test_is_transitive():
     assert is_transitive(closure(parse_group_spec("(1 2 3 4)")))
     assert not is_transitive(closure(parse_group_spec("(1 2); (3 4)")))
+    # transitive only through both generators
+    assert is_transitive(closure(parse_group_spec("(1 2); (2 3)")))
+    # point 5 is moved by no generator
+    assert not is_transitive(closure(parse_group_spec("deg=5; (1 2 3 4)")))
 
 
 def _assert_matches_oracle(gens, label):
