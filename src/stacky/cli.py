@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .heights import (
     sectors,
 )
 from .kummer import canonical, discriminant, is_irreducible
-from .malle import PRESETS, group_preset, malle_invariants, signature_for_field
+from .malle import _PRESET_RE, PRESETS, group_preset, malle_invariants, signature_for_field
 from .permgrp import closure, parse_group_spec
 
 
@@ -41,7 +40,8 @@ def _parse_group(spec: str):
     """A preset (named with or without "preset:") or cycle notation.  A spec
     led by a preset name is a preset, so that its own errors reach the user."""
     name = spec.removeprefix("preset:")
-    preset = name != spec or re.match(r"\s*(\w*)", spec)[1] in PRESETS
+    lead = _PRESET_RE.match(spec)  # the preset grammar's leading word
+    preset = name != spec or bool(lead) and lead[1] in PRESETS
     return closure(group_preset(name) if preset else parse_group_spec(spec))
 
 

@@ -9,6 +9,7 @@ interval [0, v_p(n^n a^(n-1))].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,11 +63,19 @@ def is_irreducible(cls: KummerClass) -> bool:
     4 | n and a lies in -4 (Q^x)^4.
     """
     n, a = cls.n, cls.a
-    if any(_is_qth_power(a, q) for q, _ in factor(n).factors):
-        return False
+    for q in _primes_of(n):
+        if _is_qth_power(a, q):
+            return False
     if n % 4 == 0 and _in_minus_four_fourth_powers(a):
         return False
     return True
+
+
+@functools.cache
+def _primes_of(n: int) -> tuple[int, ...]:
+    """The primes dividing the exponent n, factored once per n: a census
+    tests every streamed class of one exponent."""
+    return tuple(q for q, _ in factor(n).factors)
 
 
 def _is_qth_power(a: FactoredInteger, q: int) -> bool:

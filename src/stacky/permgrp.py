@@ -277,9 +277,9 @@ def closure(generators: list[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
         # row k * len(generators) + j holds frontier[k] * generators[j]
         prods = frontier[:, gens0].reshape(len(frontier) * len(gens0), degree)
         keys, first = np.unique(_row_keys(prods), return_index=True)
-        at = np.searchsorted(seen, keys)
-        new = seen[np.minimum(at, len(seen) - 1)] != keys
-        seen = np.insert(seen, at[new], keys[new])
+        new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
+        # a stable sort merges the two sorted runs in linear time
+        seen = np.sort(np.concatenate([seen, keys[new]]), kind="stable")
         if len(seen) > cap:
             raise ValueError(f"group exceeds element cap {cap}")
         frontier = prods[np.sort(first[new])]
