@@ -2,11 +2,14 @@
 unit groups, and cyclotomic signatures.
 
 Everything here works on plain Python integers and :class:`FactoredInteger`
-values; all functions are pure and safe to call concurrently.
+values; all functions are pure and safe to call concurrently.  The one
+cache, the read-only SQUFOF multiplier table, is built on first use; two
+threads that race to build it build the same table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,11 +31,26 @@ __all__ = [
     "sieve",
 ]
 
+# Trial division stops here: a cofactor left composite has only prime
+# factors above 2**10, so it is a perfect power only to exponents up to
+# bits/10, and rho and SQUFOF split the rest.
 TRIAL_DIVISION_BOUND = 2**10
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24
-# (comfortably covers the 2**64 contract).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses, and psi_t, the least odd
+# composite that passes the first t of them (OEIS A014233; Sorenson and
+# Webster 2015 for t = 12, 13): an n below psi_t that passes t witnesses is
+# prime, so the test is deterministic below psi_13, about 3.3e24.  Without
+# 41 it would pass psi_12 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+# Every SQUFOF quantity for kN is an integer below 2*sqrt(kN), and the
+# floor of a float quotient a/Q is exact while a + Q <= 2**53.  So the race
+# runs in float64 lanes when kN <= 2**102, and its multipliers k < 2**11
+# admit every cofactor of at most 91 bits.
+_RACE_BITS = 91
 
 
 @dataclass(frozen=True)
@@ -112,7 +130,9 @@ class FactoredInteger:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact for n below
+    psi_13 = 3317044064679887385961981 (about 3.3e24).  It stops after the
+    first t witnesses once n < psi_t."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -123,20 +143,21 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a, psi in zip(_MR_WITNESSES, _MR_PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, max_window: float = math.inf) -> int | None:
     """A nontrivial factor of composite odd n, Brent's variant (Brent 1980).
 
     y walks x -> x^2 + c mod n; x is parked at the start of each window,
@@ -145,7 +166,8 @@ def _pollard_rho(n: int) -> int:
     When a batch's gcd comes out as n, the batch is replayed from its start
     one step and one gcd at a time.  Deterministic: cycles through fixed
     offsets c until a factor splits off, which always happens for
-    composite n.
+    composite n.  With a finite ``max_window`` it gives up, returning
+    None, before it opens a window longer than that.
     """
     if n % 2 == 0:
         return 2
@@ -153,6 +175,8 @@ def _pollard_rho(n: int) -> int:
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if r > max_window:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -176,13 +200,102 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")  # unreachable for composite n
 
 
+@functools.cache
+def _multipliers() -> np.ndarray:
+    """The 1024 least squarefree k, all below 2**11: one per SQUFOF lane."""
+    k = np.flatnonzero(sieve(2**11)[1])[:1024].astype(np.uint64)
+    k.flags.writeable = False
+    return k
+
+
+def _squfof_race(n: int) -> int | None:
+    """A proper divisor of a composite n < 2**_RACE_BITS that is no perfect
+    power, by Shanks' square forms factorization (Gower and Wagstaff 2008)
+    on kN for many squarefree multipliers k at once, or None.
+
+    Lane k walks the continued fraction of sqrt(kN) and checks its Q at
+    every even step for a square r^2; the reverse walk from that square
+    splits n or, when the square was improper, retires the lane.  Its
+    waiting time is close to memoryless, so K lanes need about 1/K of one
+    lane's steps.  The lane count grows as 2**(bits/4 - 3), and the race
+    gives up after 32 * 2**(bits/4) steps over all lanes, or once every
+    lane is retired, as on prime cubes.
+    """
+    bits = n.bit_length()
+    lanes = 1 << min(10, max(6, bits // 4 - 3))
+    k = _multipliers()[:lanes]
+    # P0 = isqrt(kN): the float root is within one of it, and kN - x^2,
+    # below 2**53 in absolute value, is exact mod 2**64
+    x = np.floor(np.sqrt(k * float(n))).astype(np.uint64)
+    rem = (k * np.uint64(n % 2**64) - x * x).view(np.int64)
+    x = x.view(np.int64)
+    fix = (rem > 2 * x).astype(np.int64) - (rem < 0)
+    rem -= fix * (2 * x + fix)
+    x += fix
+    if not rem.all():  # kN = x^2, so every prime of n divides x
+        return math.gcd(n, int(x[np.argmin(rem)]))
+    P0, Q = x.astype(np.float64), rem.astype(np.float64)
+    P, Q_prev = P0.copy(), np.ones(lanes)
+    live = np.ones(lanes, dtype=bool)
+    ps, qs = np.empty((4, lanes)), np.empty((4, lanes))
+    for _ in range((4 << bits // 4) // lanes):
+        for i in range(8):
+            b = np.floor((P0 + P) / Q)
+            P_next = b * Q - P
+            P, Q_prev, Q = P_next, Q, Q_prev + b * (P - P_next)
+            if i % 2 == 0:
+                ps[i // 2], qs[i // 2] = P, Q
+        r = np.rint(np.sqrt(qs))
+        for h in np.flatnonzero((r * r == qs) & live):  # flat index into (step, lane)
+            j = h % lanes
+            d = live[j] and _squfof_reverse(n, int(k[j]) * n, int(ps.flat[h]), int(r.flat[h]))
+            if d:
+                return d
+            live[j] = False
+        if not live.any():
+            break
+    return None
+
+
+def _squfof_reverse(n: int, kn: int, p: int, r: int) -> int | None:
+    """From the square Q = r^2 reached with P = p, walk the square root form
+    to its symmetry point P_i = P_(i+1); gcd(n, P) there is a proper divisor,
+    or the square was improper and this returns None."""
+    p0 = math.isqrt(kn)
+    p += (p0 - p) // r * r
+    q_prev, q = r, (kn - p * p) // r
+    while True:
+        b = (p0 + p) // q
+        p_next = b * q - p
+        if p_next == p:
+            g = math.gcd(n, p)
+            return g if 1 < g < n else None
+        p, q_prev, q = p_next, q, q_prev + b * (p - p_next)
+
+
+def _split(n: int) -> int:
+    """A proper divisor of a composite n whose primes all exceed
+    TRIAL_DIVISION_BOUND: a root of a perfect power, else a factor from
+    rho with windows up to 128 (about 500 steps, which find most primes
+    below 2**16), else from the SQUFOF race, else from unbounded rho, which
+    always ends.  Cofactors past the race's range go straight to rho."""
+    bits = n.bit_length()
+    if bits > _RACE_BITS:
+        return _pollard_rho(n)
+    for e in range(2, bits // 10 + 1):
+        r = math.isqrt(n) if e == 2 else round(n ** (1 / e))
+        if r**e == n:
+            return r
+    return _pollard_rho(n, 128) or _squfof_race(n) or _pollard_rho(n)
+
+
 def _factor_into(n: int, exps: dict[int, int]) -> None:
     if n == 1:
         return
     if is_prime(n):
         exps[n] = exps.get(n, 0) + 1
         return
-    d = _pollard_rho(n)
+    d = _split(n)
     _factor_into(d, exps)
     _factor_into(n // d, exps)
 
@@ -192,11 +305,12 @@ def factor(m: int) -> FactoredInteger:
 
     Trial division by 2, 3, 5 and a mod-30 wheel up to TRIAL_DIVISION_BOUND
     (2**10), stopping early once p^2 exceeds the cofactor.  A cofactor
-    left composite has only prime factors above 2**10; Brent-Pollard rho
-    (one gcd per 128 steps) splits it, and every factor is certified by
-    deterministic Miller-Rabin.  Rho finds a prime p in about sqrt(p)
-    steps, so the small trial bound costs little even on factors just
-    above it.
+    left composite has only prime factors above 2**10.  It is split by an
+    exact root when it is a perfect power; else by Brent-Pollard rho (one
+    gcd per 128 steps) for about 500 steps, which finds most primes below
+    2**16; else by SQUFOF racing up to 1024 multipliers in numpy, whose
+    median is about 2 N^(1/4) steps over all lanes; else by rho without a
+    bound.  Every factor is certified by deterministic Miller-Rabin.
     """
     if m == 0:
         raise ValueError("cannot factor zero")

@@ -15,6 +15,7 @@ height growth exponent 2/(n - n/r) with a divergence witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,6 +126,7 @@ class SectorTable:
         return min(c for _, c in self.entries)
 
 
+@functools.cache
 def sectors(n: int) -> SectorTable:
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .arith import FactoredInteger, factor, nth_power_free_reduce, smallest_prime_factor, valuation
+from .arith import FactoredInteger, factor, nth_power_free_reduce, valuation
 
 __all__ = [
     "KummerClass",
@@ -40,7 +40,7 @@ class KummerClass:
 
     @property
     def r(self) -> int:
-        return smallest_prime_factor(self.n)
+        return _primes_of(self.n)[0]
 
     @property
     def is_trivial(self) -> bool:
@@ -73,8 +73,9 @@ def is_irreducible(cls: KummerClass) -> bool:
 
 @functools.cache
 def _primes_of(n: int) -> tuple[int, ...]:
-    """The primes dividing the exponent n, factored once per n: a census
-    tests every streamed class of one exponent."""
+    """The primes dividing the exponent n, in increasing order, factored
+    once per n: a census tests every streamed class of one exponent, and
+    every query reads them for its discriminant."""
     return tuple(q for q, _ in factor(n).factors)
 
 
@@ -221,7 +222,7 @@ def discriminant(cls: KummerClass, mode: str = "exact") -> DiscriminantResult:
     n = cls.n
     locals_ = [
         LocalDiscData(p, "wild", 0, 0) if mode == "tame" else wild_local(cls, p, mode)
-        for p, _ in factor(n).factors
+        for p in _primes_of(n)
     ]
     for p, _ in cls.a.factors:
         if n % p != 0:

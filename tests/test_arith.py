@@ -20,10 +20,17 @@ from stacky.arith import (
     unit_group,
     valuation,
 )
-from stacky.arith import _pollard_rho
+from stacky import arith
+from stacky.arith import _pollard_rho, _split, _squfof_race
 
 SEED = 20260824
 print(f"[test_arith] seed={SEED}")
+
+# psi_t (OEIS A014233): the least strong pseudoprime to the first t prime
+# bases, for the t at which it changes; PSI[-1] is psi_12, to the bases 2..37
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461]
+PSI_12 = PSI[-1]
 
 
 def test_factor_roundtrip_random():
@@ -75,6 +82,9 @@ def test_factor_property(prime_powers, sign):
     561 * 1105 * 1729,                            # Carmichael numbers
     2**61 - 1, 2**64 - 1, (2**31 - 1) ** 2,
     1, -1, -(2**64 - 1),
+    PSI_12,                                       # 399165290221 * 798330580441
+    65537**3, sympy.nextprime(2**21) ** 3,        # prime powers past the trial bound
+    sympy.nextprime(2**21) ** 2 * 1000003, 1031**2 * (2**31 - 1), 65537**2 * 65539**2,
 ])
 def test_factor_edge_cases(m):
     f = factor(m)
@@ -93,6 +103,56 @@ def test_pollard_rho_proper_divisor():
         assert 1 < d < n and n % d == 0, n
 
 
+def _random_prime(rng, bits):
+    return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+@pytest.mark.parametrize("bits", [31, 32])
+def test_factor_semiprimes(bits):
+    rng = random.Random(SEED + bits)
+    for _ in range(6):
+        # sympy.nextprime certifies p and q, so p * q factors as built
+        p, q = _random_prime(rng, bits), _random_prime(rng, bits)
+        assert factor(p * q).factors == tuple(sorted({p: 1, q: 1}.items()))
+        # bounded rho gives up on them, and the race itself splits them
+        assert _pollard_rho(p * q, 128) is None
+        assert _squfof_race(p * q) in (p, q)
+
+
+def test_split_takes_perfect_powers_by_root(monkeypatch):
+    def refuse(n, *args):
+        raise AssertionError(f"a perfect power {n} reached rho or the race")
+
+    monkeypatch.setattr(arith, "_pollard_rho", refuse)
+    monkeypatch.setattr(arith, "_squfof_race", refuse)
+    for p in (1031, 65537, sympy.nextprime(2**21)):
+        for e in (2, 3, 4, 5):
+            if (p**e).bit_length() <= 91:
+                d = _split(p**e)
+                assert 1 < d < p**e and p**e % d == 0
+
+
+def test_squfof_race_on_prime_cubes():
+    # every square a lane meets on a prime cube may be improper: the race
+    # returns a proper divisor or gives up, and does not hang
+    for p in (1031, 1543, 65537, sympy.nextprime(2**21)):
+        d = _squfof_race(p**3)
+        assert d is None or d in (p, p * p), p
+
+
+def test_squfof_race_when_kn_is_a_square():
+    # 1031 is one of the multipliers, so k * n is a square for n = 1031 q^2
+    q = sympy.nextprime(2**24)
+    assert _squfof_race(1031 * q * q) == 1031 * q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2**20, 2**32).map(sympy.prevprime), min_size=2, max_size=3))
+def test_factor_products_of_large_primes(primes):
+    m = math.prod(primes)
+    assert factor(m).factors == tuple(sorted(sympy.factorint(m).items()))
+
+
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(0)
@@ -104,6 +164,16 @@ def test_is_prime_vs_trial_division():
 
     for n in range(0, 2000):
         assert is_prime(n) == naive(n)
+
+
+def test_is_prime_strong_pseudoprimes():
+    # each psi_t passes the first t witnesses; a later one must catch it
+    for psi in PSI:
+        assert is_prime(psi) is False, psi
+    rng = random.Random(SEED + 2)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randint(2, 84)) | 1
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_factored_integer_algebra():
