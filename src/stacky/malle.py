@@ -80,14 +80,14 @@ def malle_invariants(G: PermGroup, sig: CyclotomicSignature) -> MalleInvariants:
     classes = conjugacy_classes(G)
     mins = _minimal(classes)
     orbits = gamma_orbits(G, sig, mins, classes)
+    # the orbits partition the minimal classes, so each label is built once
+    label = {c.representative.images: c.representative.cycle_string() for c in mins}
     return MalleInvariants(
         a=Fraction(1, mins[0].index),
         min_index=mins[0].index,
         b=len(orbits),
-        minimal_classes=tuple(c.representative.cycle_string() for c in mins),
-        orbits=tuple(
-            tuple(c.representative.cycle_string() for c in orbit) for orbit in orbits
-        ),
+        minimal_classes=tuple(label[c.representative.images] for c in mins),
+        orbits=tuple(tuple(label[c.representative.images] for c in orbit) for orbit in orbits),
     )
 
 

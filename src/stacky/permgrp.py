@@ -12,7 +12,12 @@ group keeps all its elements, as a (|G|, n) array of small-int images.
   conjugacy classes are the orbits of these permutations, found by a
   vectorised union-find.
 * The position lookup, the class list and the exponent are computed once
-  per group, on first use, and cached on the ``PermGroup``.
+  per group, on first use, and cached on the ``PermGroup``.  The index and
+  order of every class representative come from one numpy pass over the
+  representative rows, and the exponent is the lcm of those orders.
+* A ``Permutation`` computes its cycle decomposition once and keeps it.
+  ``pow`` shifts each cycle by k modulo its length, and the order, index
+  and cycle string are read from the same cycles.
 """
 
 from __future__ import annotations
@@ -80,18 +85,16 @@ class Permutation:
         return Permutation._trusted(tuple(inv))
 
     def pow(self, k: int) -> "Permutation":
-        n = self.degree
-        result = identity(n)
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        """self^k: every cycle shifted by k modulo its length."""
+        images = list(range(1, self.degree + 1))
+        for cyc in self._cycles:
+            s = k % len(cyc)
+            for a, b in zip(cyc, cyc[s:] + cyc[:s]):
+                images[a - 1] = b
+        return Permutation._trusted(tuple(images))
 
-    def cycles(self) -> list[tuple[int, ...]]:
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition including fixed points, smallest element first."""
         im = self.images
         seen = [False] * self.degree
@@ -107,13 +110,17 @@ class Permutation:
                 seen[j - 1] = True
                 j = im[j - 1]
             out.append(tuple(cyc))
-        return out
+        return tuple(out)
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycle decomposition, as a fresh list."""
+        return list(self._cycles)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return math.lcm(*map(len, self._cycles))
 
     def cycle_string(self) -> str:
-        nontrivial = [c for c in self.cycles() if len(c) > 1]
+        nontrivial = [c for c in self._cycles if len(c) > 1]
         if not nontrivial:
             return "()"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in nontrivial)
@@ -124,7 +131,16 @@ def identity(degree: int) -> Permutation:
 
 
 def from_cycles(cycles: list[tuple[int, ...]], degree: int | None = None) -> Permutation:
+    """The permutation with the given disjoint cycles; every point must lie
+    in 1..degree (by default the largest point) and appear only once."""
     n = degree or max((max(c) for c in cycles if c), default=1)
+    seen = set()
+    for a in (a for cyc in cycles for a in cyc):
+        if not 1 <= a <= n:
+            raise ValueError(f"point {a} outside 1..{n}")
+        if a in seen:
+            raise ValueError(f"point {a} appears twice in the cycles")
+        seen.add(a)
     images = list(range(1, n + 1))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -197,10 +213,9 @@ class PermGroup:
         images = (self.rows.astype(np.intp) + 1).tolist()
         return tuple(map(Permutation._trusted, map(tuple, images)))
 
-    @cached_property
+    @property
     def exponent(self) -> int:
-        # element order is a class function, so the representatives suffice
-        return math.lcm(*(c.representative.order() for c in self._partition[0]))
+        return self._partition[2]
 
     @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,14 +234,15 @@ class PermGroup:
         return order[at]
 
     @cached_property
-    def _partition(self) -> tuple[tuple[ConjClass, ...], np.ndarray]:
-        """The sorted class list, and the class number of each position."""
+    def _partition(self) -> tuple[tuple[ConjClass, ...], np.ndarray, int]:
+        """The sorted class list, the class number of each position and the
+        exponent."""
         return _class_partition(self)
 
     def _classes_of(self, perms: list[Permutation]) -> list[ConjClass]:
         rows = np.array([p.images for p in perms], dtype=np.intp)
         positions = self._positions(rows.reshape(len(perms), self.degree) - 1)
-        classes, ids = self._partition
+        classes, ids, _ = self._partition
         return [classes[k] for k in ids[positions].tolist()]
 
 
@@ -243,15 +259,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row of images; keys sort as the rows do, lexicographically.
 
     A row packs into one uint64 when its images fit in 64 bits together
-    (degree up to 16); wider rows are keyed by their big-endian bytes.
+    (degree up to 16): one product with the place values of its columns.
+    Wider rows are keyed by their big-endian bytes.
     """
     n = rows.shape[1]
     bits = max(1, (n - 1).bit_length())
     if n * bits <= 64:
-        keys = np.zeros(len(rows), dtype=np.uint64)
-        for column in rows.T:
-            keys = (keys << np.uint64(bits)) | column.astype(np.uint64)
-        return keys
+        place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+        return rows.astype(np.uint64) @ place
     packed = np.ascontiguousarray(rows, dtype=np.uint8 if n <= 256 else ">u4")
     return packed.view(f"V{packed.itemsize * n}").ravel()
 
@@ -291,7 +306,26 @@ def closure(generators: list[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
 
 def index(g: Permutation) -> int:
     """Degree minus number of cycles (fixed points count as cycles)."""
-    return g.degree - len(g.cycles())
+    return g.degree - len(g._cycles)
+
+
+def _index_and_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``index`` and order of the permutation in each row of 0-based images.
+
+    The rows are read as one permutation of the flat positions.  Pointer
+    doubling labels every position with the least position of its cycle:
+    after t rounds ``lab`` is the least of the 2^t positions from each one
+    along its cycle, and ``step`` jumps 2^t places.  A position that keeps
+    its own label starts a cycle, and counts the positions labelled by it.
+    """
+    k, n = rows.shape
+    step = (rows + np.arange(0, k * n, n).reshape(k, 1)).ravel()
+    lab = np.arange(k * n)
+    for _ in range((n - 1).bit_length()):
+        lab = np.minimum(lab, lab[step])
+        step = step[step]
+    lengths = np.bincount(lab, minlength=k * n).reshape(k, n)
+    return n - np.count_nonzero(lengths, axis=1), np.lcm.reduce(np.maximum(lengths, 1), axis=1)
 
 
 def _orbit_labels(maps: list[np.ndarray], size: int) -> np.ndarray:
@@ -319,13 +353,15 @@ def _orbit_labels(maps: list[np.ndarray], size: int) -> np.ndarray:
             labels = jumped
 
 
-def _class_partition(G: PermGroup) -> tuple[tuple[ConjClass, ...], np.ndarray]:
-    """Conjugacy classes of G sorted by (index, representative images), and
-    the class number of each element position.
+def _class_partition(G: PermGroup) -> tuple[tuple[ConjClass, ...], np.ndarray, int]:
+    """Conjugacy classes of G sorted by (index, representative images), the
+    class number of each element position, and the exponent of G.
 
     Conjugation by each generator h permutes the element positions; the
     classes are the orbits of those permutations.  Members are listed by
     position and the representative is the lexicographically smallest member.
+    Element order is a class function, so the exponent is the lcm of the
+    representatives' orders.
     """
     rows = G.rows
     maps = []
@@ -341,10 +377,11 @@ def _class_partition(G: PermGroup) -> tuple[tuple[ConjClass, ...], np.ndarray]:
     rank = np.empty(G.order, dtype=np.intp)
     rank[lex] = np.arange(G.order)
     rep_ranks = np.minimum.reduceat(rank[by_class], starts)
-    rep_images = (rows[lex[rep_ranks]].astype(np.intp) + 1).tolist()
-    reps = [Permutation._trusted(tuple(im)) for im in rep_images]
-    indices = [index(rep) for rep in reps]
+    rep_rows = rows[lex[rep_ranks]].astype(np.intp)
+    reps = [Permutation._trusted(tuple(im)) for im in (rep_rows + 1).tolist()]
+    indices, orders = _index_and_order(rep_rows)
     ordered = np.lexsort((rep_ranks, indices)).tolist()
+    indices = indices.tolist()
     members, cut = by_class.tolist(), bounds.tolist()
     classes = tuple(
         ConjClass(reps[k], tuple(members[cut[k]:cut[k + 1]]), indices[k]) for k in ordered
@@ -353,7 +390,7 @@ def _class_partition(G: PermGroup) -> tuple[tuple[ConjClass, ...], np.ndarray]:
     number[ordered] = np.arange(len(ordered))
     ids = np.empty(G.order, dtype=np.intp)
     ids[by_class] = np.repeat(number, np.diff(bounds))
-    return classes, ids
+    return classes, ids, int(np.lcm.reduce(orders))
 
 
 def conjugacy_classes(G: PermGroup) -> list[ConjClass]:
@@ -414,11 +451,11 @@ def gamma_orbits(
         if key(first) in covered:
             continue
         rep = first.representative
-        powers = [identity(G.degree)]
-        for _ in range(rep.order() - 1):
-            powers.append(powers[-1] * rep)
-        images = G._classes_of([powers[u % len(powers)] for u in sig.units])
-        orbit = {key(img): by_rep[key(img)] for img in images}
+        order = rep.order()
+        # u = 1 mod the order gives rep itself; the other residues are looked up
+        units = sorted({u % order for u in sig.units} - {1 % order})
+        images = G._classes_of([rep.pow(u) for u in units]) if units else []
+        orbit = {key(img): by_rep[key(img)] for img in [first, *images]}
         covered.update(orbit)
         orbits.append(sorted(orbit.values(), key=key))
     return orbits

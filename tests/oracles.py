@@ -3,10 +3,11 @@
 Nothing here touches the code under test: discriminants come from the
 Dedekind index criterion applied to t^n - a over F_p, irreducibility comes
 from numerically expanding subset products of the exact complex roots and
-certifying near-integer factors by exact division over Z, and permutation
+certifying near-integer factors by exact division over Z, permutation
 groups come from a plain breadth-first closure and brute-force conjugation
-on image tuples, and cyclic fields come from a scan of every conductor f
-over every character of (Z/fZ)^x.  The one exception is
+on image tuples, power-map orbits from repeated composition, and cyclic
+fields come from a scan of every conductor f over every character of
+(Z/fZ)^x.  The one exception is
 ``census_measure``, the slow path that measures a census class through the
 library's assembled ``discriminant()``; the integer kernel of
 ``enumerate_mu`` is checked against it.
@@ -305,6 +306,44 @@ def conjugacy_partition(
 def group_exponent(elements: list[tuple[int, ...]]) -> int:
     """The lcm of the element orders."""
     return math.lcm(*(math.lcm(*_cycle_lengths(g)) for g in elements))
+
+
+def power_orbits(
+    classes: list[list[tuple[int, ...]]], units: tuple[int, ...]
+) -> list[list[tuple[int, ...]]]:
+    """Orbits of the classes under g -> g^u for u in ``units``.
+
+    ``classes`` lists each class by its members' images, and a class is
+    named by its least member.  The powers of one member of each class are
+    formed by repeated composition up to its order.  Each orbit is sorted,
+    and the orbits are in order of their least class.
+    """
+    name = {g: min(members) for members in classes for g in members}
+    orbits = []
+    for members in sorted(classes, key=min):
+        if any(min(members) in orbit for orbit in orbits):
+            continue
+        g = members[0]
+        powers = [tuple(range(1, len(g) + 1))]
+        while (nxt := _compose(powers[-1], g)) != powers[0]:
+            powers.append(nxt)
+        orbits.append(sorted({name[powers[u % len(powers)]] for u in units}))
+    return orbits
+
+
+def cycle_string(a: tuple[int, ...]) -> str:
+    """Cycle notation of the nontrivial cycles, each from its least point."""
+    seen: set[int] = set()
+    out = ""
+    for start in range(1, len(a) + 1):
+        cyc, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = a[j - 1]
+        if len(cyc) > 1:
+            out += "(" + " ".join(map(str, cyc)) + ")"
+    return out or "()"
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,13 @@ def test_malle_raw_generators(capsys):
     assert out.strip() == "1/3"
 
 
+@pytest.mark.parametrize("spec", ["(1 2 0)", "(1 1 2)", "deg=2; (1 2 3)", "(1 -2)"])
+def test_malle_bad_points_are_domain_errors(capsys, spec):
+    code, out, err = run(capsys, "malle", "a", "--group", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: point ")
+
+
 def test_malle_units_field(capsys):
     code, out, _ = run(capsys, "malle", "b", "--group", "cyclic_regular:9",
                        "--field", "units:9:1")

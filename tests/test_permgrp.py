@@ -1,12 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_elements, conjugacy_partition, group_exponent
+from oracles import bfs_elements, conjugacy_partition, cycle_string, group_exponent, power_orbits
 from stacky.arith import CyclotomicSignature, cyclotomic_image
-from stacky.malle import group_preset
+from stacky.malle import group_preset, malle_invariants
 from stacky.permgrp import (
     Permutation,
+    _index_and_order,
     class_of,
     closure,
     conjugacy_classes,
@@ -28,6 +30,9 @@ CLASS_SPECS = [
     "(1 2 3); (4 5 6); (1 4)(2 5)(3 6)",
     "(1 2 3 4); (1 3)",
 ]
+# degree above 16: element keys are raw bytes instead of one packed integer
+DIHEDRAL_20 = ("(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20);"
+               "(2 20)(3 19)(4 18)(5 17)(6 16)(7 15)(8 14)(9 13)(10 12)")
 
 
 def test_permutation_basics():
@@ -39,6 +44,50 @@ def test_permutation_basics():
     assert g.order() == 3
     assert g.pow(5) == g * g
     assert g.pow(-1) == g.inverse()
+
+
+def _repeated_power(g: Permutation, k: int) -> Permutation:
+    base = g if k >= 0 else g.inverse()
+    out = identity(g.degree)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))), st.data())
+def test_pow_by_cycle_shifts_matches_repeated_products(images, data):
+    g = Permutation(tuple(x + 1 for x in images))
+    o = g.order()
+    k = data.draw(st.integers(-2 * o, 2 * o))
+    assert g.pow(k) == _repeated_power(g, k)
+    for m in (-2, -1, 0, 1, 2):  # multiples of the order give the identity
+        assert g.pow(m * o) == identity(g.degree)
+    assert g.pow(-1) == g.inverse()
+    assert g.pow(k) * g.pow(-k) == identity(g.degree)
+
+
+def test_cycles_are_computed_once_and_returned_fresh():
+    g = from_cycles([(1, 3), (2, 4, 5)], 5)
+    assert g.cycles() == [(1, 3), (2, 4, 5)]
+    g.cycles().clear()
+    assert g.cycles() == [(1, 3), (2, 4, 5)]
+
+
+def _random_rows(degree: int):
+    return st.lists(st.permutations(range(degree)), min_size=1, max_size=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16).flatmap(_random_rows), st.integers(17, 30).flatmap(_random_rows))
+def test_batched_index_and_order_match_per_permutation(small, large):
+    # degrees on both sides of 16, where element keys turn from packed integers to bytes
+    for images in (small, small[:1], large, large[:1]):
+        rows = np.array(images, dtype=np.uint8)
+        indices, orders = _index_and_order(rows)
+        perms = [Permutation(tuple(x + 1 for x in im)) for im in images]
+        assert indices.tolist() == [index(g) for g in perms]
+        assert orders.tolist() == [g.order() for g in perms]
 
 
 def test_multiplication_convention():
@@ -66,6 +115,21 @@ def test_parse_permutation():
     assert parse_permutation("(1,2)", 2) == from_cycles([(1, 2)], 2)
     with pytest.raises(ValueError):
         parse_permutation("1 2 3")
+
+
+@pytest.mark.parametrize("spec", ["(1 2 0)", "(1 1 2)", "deg=2; (1 2 3)", "(1 -2)",
+                                  "(1 2)(2 3)", "(1 2)(1 2)"])
+def test_points_outside_the_degree_or_repeated_are_rejected(spec):
+    with pytest.raises(ValueError, match="point"):
+        parse_group_spec(spec)
+
+
+def test_from_cycles_rejects_bad_points():
+    with pytest.raises(ValueError, match="outside 1..3"):
+        from_cycles([(1, 4)], 3)
+    with pytest.raises(ValueError, match="twice"):
+        from_cycles([(2, 3, 2)], 3)
+    assert from_cycles([(3,)], 3) == identity(3)  # a 1-cycle is a fixed point
 
 
 def test_parse_group_spec():
@@ -184,10 +248,7 @@ def test_conjugacy_classes_match_brute_oracle():
     names += [f"cyclic_regular:{n}" for n in range(2, 31)] + ["kluners_c3wrc2"]
     cases = [(name, group_preset(name)) for name in names]
     cases += [(spec, parse_group_spec(spec)) for spec in CLASS_SPECS]
-    # degree above 16: element keys are raw bytes instead of one packed integer
-    cases.append(("dihedral:20", parse_group_spec(
-        "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20);"
-        "(2 20)(3 19)(4 18)(5 17)(6 16)(7 15)(8 14)(9 13)(10 12)")))
+    cases.append(("dihedral:20", parse_group_spec(DIHEDRAL_20)))
     for label, gens in cases:
         _assert_matches_oracle(gens, label)
 
@@ -198,6 +259,32 @@ def test_conjugacy_classes_match_brute_oracle():
 def test_random_groups_match_brute_oracle(images):
     gens = [Permutation(tuple(im)) for im in images]
     _assert_matches_oracle(gens, images)
+
+
+def test_gamma_orbits_and_malle_invariants_match_power_oracle():
+    names = [f"cyclic_regular:{n}" for n in range(2, 31)]
+    names += [f"symmetric:{n}" for n in range(2, 8)] + ["kluners_c3wrc2"]
+    cases = [(name, group_preset(name)) for name in names]
+    cases.append(("dihedral:20", parse_group_spec(DIHEDRAL_20)))
+    for label, gens in cases:
+        G = closure(gens)
+        classes = conjugacy_classes(G)
+        # the partition itself is checked against brute conjugation above
+        members = [[G.elements[i].images for i in c.members] for c in classes]
+        fields = ["Q", *(("zeta", d) for d in (2, 3, 4, 5, 7, 8, 12, 29)), [G.exponent - 1]]
+        for field in fields:
+            sig = cyclotomic_image(G.exponent, field)
+            want = power_orbits(members, sig.units)
+            got = gamma_orbits(G, sig, classes)
+            assert [[c.representative.images for c in orbit] for orbit in got] == want, \
+                (label, field)
+            m = min(c.index for c in classes if c.index > 0)
+            minimal = {c.representative.images for c in classes if c.index == m}
+            orbits = [[cycle_string(g) for g in orbit] for orbit in want if orbit[0] in minimal]
+            inv = malle_invariants(G, sig)
+            assert (inv.min_index, inv.b) == (m, len(orbits)), (label, field)
+            assert [list(o) for o in inv.orbits] == orbits, (label, field)
+            assert list(inv.minimal_classes) == [cycle_string(g) for g in sorted(minimal)]
 
 
 def test_class_list_is_a_fresh_copy():
