@@ -236,13 +236,22 @@ def _squfof_race(n: int) -> int | None:
         return math.gcd(n, int(x[np.argmin(rem)]))
     P0, Q = x.astype(np.float64), rem.astype(np.float64)
     P, Q_prev = P0.copy(), np.ones(lanes)
+    b, P_next = np.empty(lanes), np.empty(lanes)
     live = np.ones(lanes, dtype=bool)
     ps, qs = np.empty((4, lanes)), np.empty((4, lanes))
     for _ in range((4 << bits // 4) // lanes):
         for i in range(8):
-            b = np.floor((P0 + P) / Q)
-            P_next = b * Q - P
-            P, Q_prev, Q = P_next, Q, Q_prev + b * (P - P_next)
+            # in place: b = floor((P0 + P) / Q), P_next = b Q - P, and the
+            # next Q, Q_prev + b (P - P_next), written over Q_prev
+            np.add(P0, P, out=b)
+            b /= Q
+            np.floor(b, out=b)
+            np.multiply(b, Q, out=P_next)
+            P_next -= P
+            P -= P_next
+            P *= b
+            Q_prev += P
+            P, P_next, Q_prev, Q = P_next, P, Q, Q_prev
             if i % 2 == 0:
                 ps[i // 2], qs[i // 2] = P, Q
         r = np.rint(np.sqrt(qs))
@@ -429,9 +438,16 @@ class CyclotomicSignature:
         for u in us:
             if m > 1 and math.gcd(u, m) != 1:
                 raise ValueError(f"residue {u} not coprime to {m}")
-            for v in us:
-                if (u * v % m if m > 1 else 1) not in us:
-                    raise ValueError("units not closed under multiplication")
+        # H is a group iff g H is within H for each g of a generating set of
+        # the group H spans, picked greedily: then H holds every product of
+        # them, as it holds 1
+        gens, span = [], {1}
+        for u in sorted(us):
+            if u not in span:
+                gens.append(u)
+                span = set(subgroup_generated(m, gens))
+        if m > 1 and any(g * h % m not in us for g in gens for h in us):
+            raise ValueError("units not closed under multiplication")
 
 
 def cyclotomic_image(m: int, field: str | tuple | Sequence[int] = "Q") -> CyclotomicSignature:
@@ -446,6 +462,8 @@ def cyclotomic_image(m: int, field: str | tuple | Sequence[int] = "Q") -> Cyclot
         return CyclotomicSignature(m, tuple(unit_group(m)))
     if isinstance(field, tuple) and len(field) == 2 and field[0] == "zeta":
         d = field[1]
+        if d < 1:
+            raise ValueError(f"cyclotomic field Q(zeta_{d}) needs d >= 1")
         big = math.lcm(d, m)
         image = sorted({u % m if m > 1 else 1 for u in unit_group(big) if u % d == 1 % d})
         return CyclotomicSignature(m, tuple(image))

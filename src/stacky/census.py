@@ -5,17 +5,20 @@ Two enumerators share one walk, ``_walk``, over supports of increasing
 primes pruned by the partial |disc|; each supplies only the local types a
 tame prime p admits.  ``enumerate_mu`` walks canonical Kummer classes, whose
 tame primes admit every twisted sector of ``heights.sectors`` (order k | n,
-cost p^(n - n/k)); ``enumerate_cyclic`` walks cyclic degree-n fields over
-the local characters of ``_local_characters``, where order k needs k | p - 1,
-the Galois twist between Bmu_n and B(Z/nZ).  ``count`` looks each ladder
+cost p^(n - n/k)), and whose sign and wild exponents come beside each
+support from one per-residue table, ``_wild_table``, cheapest first (no
+caller depends on that order within a support); ``enumerate_cyclic`` walks
+cyclic degree-n fields over the local characters of ``_local_characters``,
+where order k needs k | p - 1, the Galois twist between Bmu_n and B(Z/nZ).
+``count`` looks each ladder
 target up in ``FAST_COUNTERS``; the M counter of a mu target whose T key is
 there streams ``enumerate_mu``, and any other target raises.  Every fast
 key goes through one local-type counter, ``_count_types``, which counts
 what a walk reaches from the tame types at each residue of p and the wild
 costs, on numpy arrays from ``arith.sieve``: the mu keys (T for n = 2..12
 under every ordering ``enumerate_mu`` takes, and M for prime n) give it
-the sectors at every residue, the wild exponents of
-``kummer.wild_exponent`` and the |disc| caps of ``_disc_bound``; the cyclic
+the sectors at every residue, the wild costs of the same
+``_wild_table`` and the |disc| caps of ``_disc_bound``; the cyclic
 keys (M for n = 2..12) give it, for each d | n, the characters of order
 dividing d, and invert by Mobius over d.  A ladder past the
 counter's int64 range streams; one past physical memory raises ValueError.
@@ -31,7 +34,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -190,8 +193,11 @@ def enumerate_mu(
 
     The tame part of a class is a support walked by ``_walk``: a tame
     prime p admits every exponent e in 1..n-1, the twisted sectors of
-    ``heights.sectors``, at a cost of p^(n - gcd(e, n)); wild primes
-    (p | n) and the sign are enumerated exhaustively on each support.
+    ``heights.sectors``, at a cost of p^(n - gcd(e, n)).  Beside each
+    support go the sign and the wild patterns (an exponent at each p | n)
+    that ``_wild_table`` lists at the tame part's class, cheapest first, up
+    to the first past the cap: within one support the stream runs cheapest
+    wild pattern first.  No caller depends on that order.
     ``part=(w, nparts)`` restricts the stream to one deterministic
     partition, keyed by the smallest tame support prime.
     """
@@ -204,23 +210,25 @@ def enumerate_mu(
     disc_bound = _disc_bound(Bmax, n, ordering)
     if disc_bound < 1:
         return
-    exact = _exact_wild(n, ordering)
     darda_exp = 1.0 / darda_denominator(n)
-    wild = _wild_patterns(n)
+    M, wild = _wild_table(n, ordering)
 
     # a support's state: its tame value and factors, one exponent per prime
     tame = sectors(n)
     walk = _walk(tame.min_value(), disc_bound, lambda p: () if n % p == 0 else tame.entries,
                  lambda s, p, e: (s[0] * p**e, s[1] + ((p, e),)), (1, ()), part)
     for (tame_a, tame_factors), tame_disc in walk:
-        for sign, w, v, pat in wild:
-            d = tame_disc
-            if exact:
-                d *= n ** wild_exponent(n, sign * w * tame_a, v)
+        for cost, sign, pat in wild[tame_a % M]:  # cheapest first
+            d = tame_disc * cost
+            if d > disc_bound:
+                break
             m = d ** darda_exp if ordering == "darda" else d
             if m <= Bmax:
-                base = FactoredInteger(sign, tuple(sorted(pat + tame_factors)))
-                yield KummerClass(n, base), m
+                # the factors are in order unless a tame prime lies below a wild one
+                factors = pat + tame_factors
+                if pat and tame_factors and tame_factors[0][0] < pat[-1][0]:
+                    factors = tuple(sorted(factors))
+                yield KummerClass(n, FactoredInteger(sign, factors)), m
 
 
 def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
@@ -233,6 +241,22 @@ def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], .
         wild = [(w * p**e, e if p == n else v, pat + (((p, e),) if e else ()))
                 for w, v, pat in wild for e in range(n)]
     return [(s, w, v, pat) for w, v, pat in wild for s in ((1,) if n % 2 else (1, -1))]
+
+
+@cache
+def _wild_table(n: int, ordering: str) -> tuple[int, tuple[tuple[tuple[int, int, tuple], ...], ...]]:
+    """The wild costs beside a tame part, read by ``enumerate_mu`` and
+    ``_count_mu``: M (n^2 where ``ordering`` measures the wild primes, else
+    1) and, at each residue u mod M, every (cost, sign, pattern) of
+    ``_wild_patterns`` beside a tame part of class u, cheapest first, in
+    ``_wild_patterns`` order among equal costs; none where u is no unit.
+    The cost is n^(wild exponent), or 1 where the wild primes are not
+    measured.  Built once per (n, ordering), of tuples alone.
+    """
+    M = n * n if _exact_wild(n, ordering) else 1
+    return M, tuple(tuple(sorted(((n ** wild_exponent(n, s * w * u, v) if M > 1 else 1, s, pat)
+                                  for s, w, v, pat in _wild_patterns(n)), key=lambda t: t[0]))
+                    if math.gcd(u, M) == 1 else () for u in range(M))
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +502,17 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
 def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int] | None:
     """T(B), or M(B) for prime n, for mu_n, every rung at once: what
     ``enumerate_mu`` walks, counted by ``_count_types`` from the same
-    sectors (``heights.sectors``) at every prime, the same wild exponents
-    (``kummer.wild_exponent``) and the same |disc| caps (``_disc_bound``).
+    sectors (``heights.sectors``) at every prime, the same wild costs
+    (``_wild_table``) and the same |disc| caps (``_disc_bound``).
     Where the wild primes are measured (n in {2, 3}) the wild cost reads
     the tame part mod M = n^2.  For prime n the one reducible class is
     a = 1, so M(B) is T(B) less a = 1 where its |disc| is within the cap.
     """
     caps = [_disc_bound(B, n, ordering) for B in rungs]
-    M = n * n if _exact_wild(n, ordering) else 1
-    costs = {u % M: Counter(n ** wild_exponent(n, s * w * u, v) if M > 1 else 1
-                            for s, w, v, _ in _wild_patterns(n)) for u in unit_group(M)}
+    M, wild = _wild_table(n, ordering)
+    costs = {u: Counter(c for c, _, _ in ws) for u, ws in enumerate(wild) if ws}
     types = dict.fromkeys(unit_group(math.lcm(n, M)), sectors(n).entries)
-    one = n ** wild_exponent(n, 1, 0) if M > 1 else 1  # the |disc| of a = 1
+    one = next(c for c, s, pat in wild[1 % M] if (s, pat) == (1, ()))  # the |disc| of a = 1
     counts = _count_types(n, caps, types, costs, M)
     return counts and [c - (counter == "M" and cap >= one) for c, cap in zip(counts, caps)]
 

@@ -49,16 +49,21 @@ def _parse_field(text: str, exponent: int):
     """The base field of ``--field``; units:m:g1,g2 must name m = the group
     exponent, the modulus the generators are read in."""
     text = text.strip()
+    unparsed = ValueError(f"cannot parse field {text!r} (want Q, Q(zeta_d), or units:m:g1,g2)")
     if text == "Q":
         return "Q"
-    if text.startswith("Q(zeta_") and text.endswith(")"):
-        return ("zeta", int(text[len("Q(zeta_"):-1]))
-    if text.startswith("units:"):
-        _, m, gens = text.split(":")
-        if int(m) != exponent:
-            raise ValueError(f"field {text!r}: units must be mod the group exponent {exponent}")
-        return [int(g) for g in gens.split(",") if g]
-    raise ValueError(f"cannot parse field {text!r} (want Q, Q(zeta_d), or units:m:g1,g2)")
+    try:
+        if text.startswith("Q(zeta_") and text.endswith(")"):
+            return ("zeta", int(text[len("Q(zeta_"):-1]))
+        kind, m, gens = text.split(":")
+        m, gens = int(m), [int(g) for g in gens.split(",") if g]
+    except ValueError:  # a bad number, or not three fields
+        raise unparsed from None
+    if kind != "units":
+        raise unparsed
+    if m != exponent:
+        raise ValueError(f"field {text!r}: units must be mod the group exponent {exponent}")
+    return gens
 
 
 def _emit(payload: dict, as_json: bool) -> None:

@@ -7,7 +7,8 @@ certifying near-integer factors by exact division over Z, permutation
 groups come from a plain breadth-first closure and brute-force conjugation
 on image tuples, power-map orbits from repeated composition, and cyclic
 fields come from a scan of every conductor f over every character of
-(Z/fZ)^x.  The one exception is
+(Z/fZ)^x, and unit subgroups from a check of every product of two
+residues.  The one exception is
 ``census_measure``, the slow path that measures a census class through the
 library's assembled ``discriminant()``; the integer kernel of
 ``enumerate_mu`` is checked against it.
@@ -306,6 +307,13 @@ def conjugacy_partition(
 def group_exponent(elements: list[tuple[int, ...]]) -> int:
     """The lcm of the element orders."""
     return math.lcm(*(math.lcm(*_cycle_lengths(g)) for g in elements))
+
+
+def closed_under_products(m: int, units) -> bool:
+    """Whether the residues mod m hold 1 and every product of two of them:
+    the double loop over the units, O(|H|^2) products."""
+    us = set(units)
+    return 1 in us and all((u * v % m if m > 1 else 1) in us for u in us for v in us)
 
 
 def power_orbits(

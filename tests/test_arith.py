@@ -20,6 +20,7 @@ from stacky.arith import (
     unit_group,
     valuation,
 )
+from oracles import closed_under_products
 from stacky import arith
 from stacky.arith import _pollard_rho, _split, _squfof_race
 
@@ -286,6 +287,42 @@ def test_signature_validation():
         CyclotomicSignature(8, (1, 2))  # 2 not a unit
     with pytest.raises(ValueError):
         CyclotomicSignature(8, (1, 3, 5))  # 3 * 5 = 7 missing
+    with pytest.raises(ValueError):
+        # <3> + 11 <3> mod 13: 3 maps it into itself, yet 7 * 7 = 10 is missing
+        CyclotomicSignature(13, (1, 3, 7, 8, 9, 11))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 60), st.data())
+def test_signature_closure_matches_double_loop(m, data):
+    # the check by greedy generators accepts exactly the unit subsets that
+    # the double loop over every product finds closed.  Besides random sets
+    # it meets a group less some residues and a union K + bK of two cosets of
+    # a group K, which each generator of K maps into itself: every
+    # generator must be checked, not only the first
+    units = unit_group(m)
+    residues = st.sets(st.sampled_from(units))
+    picked = data.draw(residues)
+    shape = data.draw(st.sampled_from(["set", "group less some", "two cosets"]))
+    if shape == "group less some":
+        picked = set(subgroup_generated(m, picked)) - data.draw(residues)
+    elif shape == "two cosets":
+        b = data.draw(st.sampled_from(units))
+        picked = {x * y % m for x in subgroup_generated(m, picked) for y in (1, b)} - {0}
+    picked |= {1}
+    try:
+        CyclotomicSignature(m, tuple(sorted(picked)))
+        closed = True
+    except ValueError:
+        closed = False
+    assert closed == closed_under_products(m, picked), (m, sorted(picked))
+
+
+@pytest.mark.parametrize("d", [0, -1, -3])
+def test_cyclotomic_image_rejects_zeta_below_one(d):
+    # Q(zeta_-3) is not Q(zeta_3), and Q(zeta_0) is not a modulus error
+    with pytest.raises(ValueError, match=rf"Q\(zeta_{d}\)"):
+        cyclotomic_image(6, ("zeta", d))
 
 
 def test_primes_up_to():

@@ -6,12 +6,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import census_measure, cyclic_fields_by_conductor
 from stacky import census
-from stacky.arith import factor, primes_up_to
+from stacky.arith import FactoredInteger, factor, primes_up_to
 from stacky.census import (
     FAST_COUNTERS,
     ORDERINGS,
@@ -23,7 +23,7 @@ from stacky.census import (
     fit,
 )
 from stacky.heights import sectors
-from stacky.kummer import canonical, discriminant, is_irreducible, wild_exponent
+from stacky.kummer import KummerClass, canonical, discriminant, is_irreducible, wild_exponent
 
 SEED = 20260824
 print(f"[test_census] seed={SEED}")
@@ -132,6 +132,57 @@ def test_enumerate_mu_partitions_tile_the_stream_property(case):
     parts = [item for w in range(nparts) for item in stream((w, nparts))]
     assert len({a for a, _ in whole}) == len(whole)
     assert sorted(parts) == sorted(whole)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ordering", ["disc_exact", "disc_tame"])
+def test_wild_table_matches_discriminant(n, ordering):
+    # every residue u mod n^2 and every wild pattern: the cost is the n-part
+    # of |disc| of a class whose tame part is a prime q = u mod n^2
+    M, table = census._wild_table(n, ordering)
+    assert M == (n * n if ordering == "disc_exact" else 1) == len(table)
+    assert [u for u in range(M) if table[u]] == [u for u in range(M) if math.gcd(u, M) == 1]
+    mode = {"disc_exact": "exact", "disc_tame": "tame"}[ordering]
+    patterns = sorted((s, pat) for s, _, _, pat in census._wild_patterns(n))
+    for u in (u for u in range(1, n * n) if u % n):
+        q = next(q for q in primes_up_to(1000) if q % (n * n) == u)
+        row = table[u % M]
+        assert [c for c, _, _ in row] == sorted(c for c, _, _ in row)  # cheapest first
+        assert sorted((s, pat) for _, s, pat in row) == patterns
+        for cost, s, pat in row:
+            cls = KummerClass(n, FactoredInteger(s, tuple(sorted(pat + ((q, 1),)))))
+            assert cost == n ** discriminant(cls, mode).value.valuation(n), (u, s, pat)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_wild_table_unmeasured_costs_one(n):
+    # disc_tame (and darda for n > 3) measures no wild prime: one class,
+    # every pattern at cost 1 in _wild_patterns order
+    for ordering in ("disc_tame", "darda"):
+        M, table = census._wild_table(n, ordering)
+        assert (M, len(table)) == (1, 1)
+        assert table[0] == tuple((1, s, pat) for s, _, _, pat in census._wild_patterns(n))
+
+
+@given(st.data())
+def test_enumerate_mu_is_nested_in_the_bound(data):
+    # the stream to B is the stream to B' >= B cut at measure <= B, as
+    # multisets; B is an emitted measure or the float just below one, so the
+    # early break at |disc| == disc_bound is met from both sides
+    n = data.draw(st.integers(2, 12))
+    ordering = data.draw(st.sampled_from([o for o in ORDERINGS if (n, o) in MU_BOUNDS]))
+    top = MU_BOUNDS[n, ordering] ** data.draw(st.floats(0.0, 1.0))
+
+    def stream(bmax):
+        return Counter((cls.a.sign, cls.a.factors, m) for cls, m in enumerate_mu(n, bmax, ordering))
+
+    whole = stream(top)
+    measures = sorted({m for _, _, m in whole})
+    assume(measures)
+    B = data.draw(st.sampled_from(measures))
+    if data.draw(st.booleans()):
+        B = math.nextafter(B, 0)
+    assert stream(B) == Counter({k: c for k, c in whole.items() if k[2] <= B})
 
 
 def test_enumerate_mu_validation():

@@ -74,6 +74,21 @@ def test_malle_units_field_modulus_is_the_exponent(capsys):
     assert "exponent 6" in err
 
 
+@pytest.mark.parametrize("field,msg", [("units:6:5:7", "cannot parse field"),
+                                       ("units:x:5", "cannot parse field"),
+                                       ("units:6:5,y", "cannot parse field"),
+                                       ("Q(zeta_x)", "cannot parse field"),
+                                       ("zeta:6:5", "cannot parse field"),
+                                       ("Q(zeta_0)", "Q(zeta_0)"),
+                                       ("Q(zeta_-3)", "Q(zeta_-3)")])
+def test_malle_bad_fields_are_domain_errors(capsys, field, msg):
+    # a field that does not parse, or names no cyclotomic field, is a
+    # domain error naming it, not an unpacking or int() message
+    code, out, err = run(capsys, "malle", "b", "--group", "cyclic_regular:6", "--field", field)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and msg in err
+
+
 def test_malle_preset_errors_reach_the_user(capsys):
     # a spec led by a preset name is never re-read as cycle notation
     code, out, err = run(capsys, "malle", "a", "--group", "symmetric:9")
