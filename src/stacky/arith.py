@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,6 +27,7 @@ __all__ = [
     "unit_group",
     "subgroup_generated",
     "cyclotomic_image",
+    "parse_field",
     "smallest_prime_factor",
     "primes_up_to",
     "sieve",
@@ -450,16 +452,25 @@ class CyclotomicSignature:
             raise ValueError("units not closed under multiplication")
 
 
+def parse_field(text: str) -> tuple[str, int]:
+    """The cyclotomic field a string names, "Q(zeta_d)" or "Q" = Q(zeta_1),
+    as the ("zeta", d) that ``cyclotomic_image`` takes.  Any other string
+    raises ValueError."""
+    if not (match := re.fullmatch(r"Q(?:\(zeta_(-?\d+)\))?", text.strip())):
+        raise ValueError(f"cannot parse field {text.strip()!r} (want Q or Q(zeta_d))")
+    return ("zeta", int(match[1] or 1))
+
+
 def cyclotomic_image(m: int, field: str | tuple | Sequence[int] = "Q") -> CyclotomicSignature:
     """Image of the base field's cyclotomic character in (Z/mZ)^x.
 
-    ``field`` is "Q", ("zeta", d) for the d-th cyclotomic field, or an
-    explicit list of generating residues.
+    ``field`` is ("zeta", d) for the d-th cyclotomic field, a string
+    ``parse_field`` reads as one ("Q" is Q(zeta_1)), or an explicit list of
+    generating residues.
     """
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    if field == "Q" or field == ("zeta", 1):
-        return CyclotomicSignature(m, tuple(unit_group(m)))
+    field = parse_field(field) if isinstance(field, str) else field
     if isinstance(field, tuple) and len(field) == 2 and field[0] == "zeta":
         d = field[1]
         if d < 1:
@@ -487,24 +498,26 @@ def primes_up_to(limit: int) -> list[int]:
 def sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest prime factor and Mobius function of 0..limit, as numpy arrays.
 
-    Only the primes p <= isqrt(limit) are sieved.  Dividing each of them out
-    of a squarefree m once leaves 1 or a single larger prime, which flips
-    mu(m) and is spf(m) when no sieved prime divides m.  spf[0] = 0,
-    spf[1] = 1 and mu[0] = 0.  A limit of 2^31 or more, past int32 and
-    18 GiB of arrays, raises ValueError before anything is allocated.
+    Only the primes p <= isqrt(limit) are sieved, into a running product of
+    the sieved primes of each m (at most m, so it stays in int32).  A
+    squarefree m whose product falls short of m has a single larger prime
+    left, which flips mu(m); an m no sieved prime divides is 1 or a prime
+    and keeps spf(m) = m.  spf[0] = 0, spf[1] = 1 and mu[0] = 0.  A limit of
+    2^31 or more, past int32 and 18 GiB of arrays, raises ValueError before
+    anything is allocated.
     """
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} too large (must be < 2^31)")
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    spf = np.arange(limit + 1, dtype=np.int32)
     mu = np.ones(limit + 1, dtype=np.int8)
-    rest = np.arange(limit + 1, dtype=np.int32)
+    prod = np.ones(limit + 1, dtype=np.int32)
     # descending, so the smallest prime writes spf last
     for p in reversed(primes_up_to(math.isqrt(limit))):
         spf[p::p] = p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-        rest[p::p] //= p
-    np.negative(mu, out=mu, where=rest > 1)
-    np.copyto(spf, rest, where=spf == 0)
+        prod[p::p] *= p
+    # arithmetic, not a where= mask, which runs several times slower
+    mu *= 1 - 2 * (prod < np.arange(limit + 1, dtype=np.int32)).view(np.int8)
     mu[0] = 0
     return spf, mu

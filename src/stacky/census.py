@@ -164,10 +164,13 @@ def _walk(least: int, disc_bound: int, table, fold, root, part: tuple[int, int] 
 def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     """Largest |disc| d with measure <= Bmax.  Under darda it is the largest
     integer d with d ** (1/N) <= Bmax, the float test ``enumerate_mu``
-    applies, found by bisection."""
+    applies, found by bisection; a cap past 2^1023, where the test leaves
+    the float range, raises ValueError."""
     if ordering != "darda":
         return math.floor(Bmax)
     x = 1.0 / darda_denominator(n)
+    if (2**1023) ** x <= Bmax:  # the doubling below would pass the float range
+        raise ValueError(f"darda bound {Bmax:g}: |disc| cap {Bmax:g}^{round(1 / x)} passes 2^1023")
     lo, hi = 0, 1  # hi fails the test, lo passes or is 0
     while hi**x <= Bmax:
         lo, hi = hi, 2 * hi
@@ -362,6 +365,13 @@ def _iroot(y: np.ndarray, m: int) -> np.ndarray:
     return z + ((z + 1) ** m <= y)
 
 
+def _ranges(lens: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges starts[j], ..., starts[j] + lens[j] - 1 end to end, as
+    arrays of (j, value); ``starts`` may be one number for every range."""
+    j = np.repeat(np.arange(len(lens)), lens)
+    return j, np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+
+
 def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> list[int] | None:
     """How many supports ``_walk`` reaches within each |disc| cap (caps
     ascending), wild costs included, counted from the local types alone;
@@ -376,12 +386,16 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
     beside a tame part of class u mod M; callers with M > 1 have h = 1.
     The tame supports have the Dirichlet series f = g * h.  g puts the
     leading types of each prime's residue (least cost p^m) on the squarefree
-    d prime to n, read off a prefix-sum table from ``arith.sieve``, and by
-    Mobius sums past ``_TABLE`` when every prime has one leading type of
-    shift 0.  h(p^j) = f(p^j) - (leading types at p) h(p^(j - m)) vanishes
-    for j <= m, so its supports are few; they are swept one prime more at a
-    time.  Past physical memory the counter raises ValueError instead of
-    allocating.
+    d prime to n, read off a prefix-sum table over ``arith.sieve``.  When
+    every prime has one leading type of shift 0 (the Mobius path) g is 1 on
+    those d: the table is the int32 running count of |mu| to about the
+    square root of the largest query (or ``_TABLE``), and the queries past
+    it are answered from the int32 Mertens sums, once per distinct z, in
+    one numpy batch.  Otherwise C int64 class rows to the largest query are
+    built one prime of every d at a time.  h(p^j) = f(p^j) - (leading types
+    at p) h(p^(j - m)) vanishes for j <= m, so its supports are few; they
+    are swept one prime more at a time.  Past physical memory the counter
+    raises ValueError instead of allocating.
     """
     top = max(caps)
     # the units mod M, the keys of costs, are the powers of g, and g^i
@@ -414,9 +428,10 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
     zmax = int(_iroot(np.array([bound]), m)[0])
     mobius = all(P[u] == [1] + [0] * (C - 1) for u in types)
     Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius else zmax
-    # peak memory is about 32 bytes a sieve entry per class row (the sieve,
-    # the squarefree d, V and a round's arrays; 27-33 measured for C = 1,
-    # 94 for C = 3)
+    # peak memory per sieve entry, measured: 13-14 bytes on the Mobius path
+    # (the sieve's own peak), 26-37 for one class row (the sieve, the live d,
+    # V and a round's arrays) and 53 for C = 3; the guard keeps 32 a class
+    # row, so that no ladder changes route
     if (Z + 1) * 32 * C > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ValueError(f"counting to |disc| {top} needs more than physical memory")
 
@@ -439,8 +454,7 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
             # no support can pay the next prime's p^j: skip the sweep
             if len(pj) > I.min() + 1 and pj[I.min() + 1] <= y.max():
                 cnt = np.maximum(np.searchsorted(pj, y, side="right") - I - 1, 0)
-                rep = np.repeat(np.arange(len(K)), cnt)
-                i = np.arange(len(rep)) - np.repeat(np.cumsum(cnt) - cnt - I - 1, cnt)
+                rep, i = _ranges(cnt, I + 1)
                 new.append((W[rep] * w[i], K[rep] * pj[i], i, R[rep]))
         W, K, I, R = (np.concatenate(x) for x in zip(*new))
         W, K, I, R = (x[nz] for nz in [W != 0] for x in (W, K, I, R))
@@ -448,54 +462,66 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
     # t over the d with q d^m <= B
     Wt, Q, R = (np.concatenate(x) for x in zip(*sup))
 
-    # V[t, d]: the tame parts over the squarefree d prime to n, of class t,
-    # built one prime of every live d per round; a leading type p^e moves
-    # class t to t + e log(p) mod C.  A d leaves when its weight is 0 or it
-    # has no prime left, and is then written to V.
     spf, mu = sieve(Z)
     for p, _ in factor(n).factors:
         mu[::p] = 0
-    d = np.flatnonzero(mu)
-    V = np.zeros((C, Z + 1), dtype=np.int64)  # int: float dots would start BLAS threads
-    V[0, d if mobius else 1] = 1
-    P = np.array(P, dtype=np.int8).T
-    live = d[1:] if not mobius else d[:0]  # d[0] = 1 has no prime
-    rest, G = live, np.repeat(np.eye(C, 1, dtype=np.int64), len(live), axis=1)
-    while len(live):
-        x = np.take(P, spf[rest] % L, axis=1)
-        rest = rest // spf[rest]
-        G = sum((x[s] * np.roll(G, s, axis=0) for s in range(1, C)), x[0] * G)
-        V[:, live[done]] = G[:, done := np.flatnonzero(G.any(axis=0) & (rest == 1))]
-        k = np.flatnonzero(G.any(axis=0) & (rest > 1))
-        live, rest, G = live[k], rest[k], np.take(G, k, axis=1)
-    tab = V.cumsum(axis=1, out=V)
-
-    # past the table, the squarefree d <= z prime to n number
-    # sum_e mu(e) phi_n(z // e^2), the e past z^(1/3) grouped by z // e^2
-    mertens = np.cumsum(mu, dtype=np.int64) if mobius else None
-    coprime = np.cumsum([0] + [math.gcd(j, n) == 1 for j in range(1, n)])
-
-    def phi_n(y):  # the j <= y prime to n
-        return y // n * coprime[-1] + coprime[y % n]
-
-    def past(z: int) -> int:
-        s = int(z ** (1 / 3))
-        x = _iroot(z // np.arange(1, s + 2), 2)
-        e = np.arange(1, x[-1] + 1)
-        return int(mu[e] @ phi_n(z // (e * e))
-                   + phi_n(np.arange(1, s + 1)) @ (mertens[x[:-1]] - mertens[x[1:]]))
+    if mobius:
+        # the squarefree d <= z prime to n (over spf, which this path does not
+        # read), and the Mertens sums over them, straight off mu; both stay
+        # within Z < 2^31
+        tab = np.cumsum(np.abs(mu), dtype=np.int32, out=spf)[None]
+        mertens = np.cumsum(mu, dtype=np.int32)
+    else:
+        # V[t, d]: the tame parts over the squarefree d prime to n, of class
+        # t, built one prime of every live d per round; a leading type p^e
+        # moves class t to t + e log(p) mod C.  A d leaves when its weight is
+        # 0 or it has no prime left, and is then written to V.  int64: the
+        # products of leading-type counts can pass 2^31.
+        live = np.flatnonzero(mu)[1:]  # d = 1 has no prime
+        V = np.zeros((C, Z + 1), dtype=np.int64)  # int: float dots would start BLAS threads
+        V[0, 1] = 1
+        P = np.array(P, dtype=np.int8).T
+        rest, G = live, np.repeat(np.eye(C, 1, dtype=np.int64), len(live), axis=1)
+        while len(live):
+            x = np.take(P, spf[rest] % L, axis=1)
+            rest = rest // spf[rest]
+            G = sum((x[s] * np.roll(G, s, axis=0) for s in range(1, C)), x[0] * G)
+            V[:, live[done]] = G[:, done := np.flatnonzero(G.any(axis=0) & (rest == 1))]
+            k = np.flatnonzero(G.any(axis=0) & (rest > 1))
+            live, rest, G = live[k], rest[k], np.take(G, k, axis=1)
+        tab = V.cumsum(axis=1, out=V)
 
     # every (cap, term) pair with the term within the cap, as indices c, i:
     # term i is within the caps from its first one on
     first = np.searchsorted(caps, Q)
-    cnt = len(caps) - first
-    i = np.repeat(np.arange(len(Q)), cnt)
-    c = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+    i, c = _ranges(len(caps) - first, first)
     z = _iroot(np.array(caps)[c] // Q[i], m)
+    g = tab[R[i], np.minimum(z, Z)].astype(np.int64)
+
+    # past the table (only on the Mobius path), the squarefree d <= z prime
+    # to n number sum_e mu(e) phi_n(z // e^2), split at s = floor(z^(1/3)):
+    # the e up to x = isqrt(z // (s + 1)) one by one; the rest grouped by
+    # k = z // e^2 <= s and summed by parts, the Mertens sums at isqrt(z // k)
+    # over the k prime to n, less phi_n(s) M(x).  Each distinct z once, in
+    # chunks of at most Z terms.
+    unit = np.array([math.gcd(j, n) == 1 for j in range(n)], dtype=np.int64)  # n >= 2
+    coprime = np.cumsum(unit)
+
+    def phi_n(y):  # the j <= y prime to n
+        return y // n * coprime[-1] + coprime[y % n]
+
+    zs, inv = np.unique(z[z > Z], return_inverse=True)
+    s = np.cbrt(zs).astype(np.int64)
+    x = _iroot(zs // (s + 1), 2)
+    past = -phi_n(s) * mertens[x] if mobius else zs  # no z passes the table off that path
+    for lo in range(0, len(zs), step := max(1, Z // (x + s).max(initial=1))):
+        j, e = _ranges(x[lo:lo + step], 1)
+        np.add.at(past, lo + j, mu[e] * phi_n(zs[lo + j] // (e * e)))
+        j, k = _ranges(s[lo:lo + step], 1)
+        np.add.at(past, lo + j, unit[k % n] * mertens[_iroot(zs[lo + j] // k, 2)])
+    g[z > Z] = past[inv]
     counts = np.zeros(len(caps), dtype=np.int64)
-    np.add.at(counts, c, Wt[i] * tab[R[i], np.minimum(z, Z)])
-    for j in np.flatnonzero(z > Z):  # past the table
-        counts[c[j]] += int(Wt[i[j]]) * (past(int(z[j])) - int(tab[R[i[j]], Z]))
+    np.add.at(counts, c, Wt[i] * g)
     return counts.tolist()
 
 

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import census as census_mod
-from .arith import cyclotomic_image, factor
+from .arith import cyclotomic_image, factor, parse_field
 from .heights import (
     a_eszb_closed,
     a_eszb_witness,
@@ -46,21 +46,17 @@ def _parse_group(spec: str):
 
 
 def _parse_field(text: str, exponent: int):
-    """The base field of ``--field``; units:m:g1,g2 must name m = the group
-    exponent, the modulus the generators are read in."""
+    """The base field of ``--field``: Q and Q(zeta_d) as ``arith.parse_field``
+    reads them, or units:m:g1,g2, where m must be the group exponent, the
+    modulus the generators are read in."""
     text = text.strip()
-    unparsed = ValueError(f"cannot parse field {text!r} (want Q, Q(zeta_d), or units:m:g1,g2)")
-    if text == "Q":
-        return "Q"
     try:
-        if text.startswith("Q(zeta_") and text.endswith(")"):
-            return ("zeta", int(text[len("Q(zeta_"):-1]))
-        kind, m, gens = text.split(":")
+        if not text.startswith("units:"):
+            return parse_field(text)
+        _, m, gens = text.split(":")
         m, gens = int(m), [int(g) for g in gens.split(",") if g]
     except ValueError:  # a bad number, or not three fields
-        raise unparsed from None
-    if kind != "units":
-        raise unparsed
+        raise ValueError(f"cannot parse field {text!r} (Q, Q(zeta_d) or units:m:g1,g2)") from None
     if m != exponent:
         raise ValueError(f"field {text!r}: units must be mod the group exponent {exponent}")
     return gens

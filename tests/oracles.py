@@ -7,8 +7,8 @@ certifying near-integer factors by exact division over Z, permutation
 groups come from a plain breadth-first closure and brute-force conjugation
 on image tuples, power-map orbits from repeated composition, and cyclic
 fields come from a scan of every conductor f over every character of
-(Z/fZ)^x, and unit subgroups from a check of every product of two
-residues.  The one exception is
+(Z/fZ)^x, unit subgroups from a check of every product of two residues,
+and squarefree counts from a plain bytearray sieve.  The one exception is
 ``census_measure``, the slow path that measures a census class through the
 library's assembled ``discriminant()``; the integer kernel of
 ``enumerate_mu`` is checked against it.
@@ -17,8 +17,10 @@ library's assembled ``discriminant()``; the integer kernel of
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+from array import array
 
 # ---------------------------------------------------------------------------
 # F_p[x] arithmetic on ascending coefficient lists
@@ -441,6 +443,24 @@ def cyclic_fields_by_conductor(n: int, Bmax: float) -> list[tuple[int, tuple[int
             if disc <= Bmax:
                 out.append((f, values, disc))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# squarefree counts
+
+
+@functools.cache
+def squarefree_prime_to(n: int, limit: int) -> array:
+    """counts[z]: how many squarefree d <= z are prime to n, for z = 0..limit.
+
+    A bytearray marks 1..limit, then clears the multiples of every square
+    q^2 >= 4 and of every divisor > 1 of n; the counts are its running sums.
+    """
+    keep = bytearray([0]) + bytearray([1]) * limit
+    squares = [q * q for q in range(2, math.isqrt(limit) + 1)]
+    for q in squares + [q for q in range(2, n + 1) if n % q == 0]:
+        keep[q::q] = bytes(len(range(q, limit + 1, q)))
+    return array("q", itertools.accumulate(keep))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from stacky.arith import (
     unit_group,
     valuation,
 )
-from oracles import closed_under_products
+from oracles import _spf_table, closed_under_products
 from stacky import arith
 from stacky.arith import _pollard_rho, _split, _squfof_race
 
@@ -362,6 +362,19 @@ def test_sieve_matches_definitions():
         small_spf, small_mu = sieve(limit)
         assert small_spf.tolist() == spf[: limit + 1].tolist()
         assert small_mu.tolist() == mu[: limit + 1].tolist()
+    # at p^2 - 1, p^2 and p^2 + 1 for a prime p, where p starts to be one of
+    # the sieved primes; checked against the oracles' plain spf table, with
+    # mu read off it
+    ref_spf = _spf_table(200**2 + 1)
+    ref_mu = [0, 1]
+    for m in range(2, len(ref_spf)):
+        p, rest = ref_spf[m], m // ref_spf[m]
+        ref_mu.append(0 if rest % p == 0 else -ref_mu[rest])
+    for p in (p for p in range(2, 201) if ref_spf[p] == p):
+        for limit in (p * p - 1, p * p, p * p + 1):
+            small_spf, small_mu = sieve(limit)
+            assert small_spf.tolist() == ref_spf[: limit + 1], limit
+            assert small_mu.tolist() == ref_mu[: limit + 1], limit
 
 
 def test_sieve_rejects_infeasible_limits(no_numpy_alloc):

@@ -4,12 +4,13 @@ import os
 import random
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from oracles import census_measure, cyclic_fields_by_conductor
+from oracles import census_measure, cyclic_fields_by_conductor, squarefree_prime_to
 from stacky import census
 from stacky.arith import FactoredInteger, factor, primes_up_to
 from stacky.census import (
@@ -416,6 +417,42 @@ def test_count_mu_matches_enumerate_mu(monkeypatch, n, ordering, table):
     measures = sorted(m for _, m in enumerate_mu(n, bmax, ordering))
     want = [bisect.bisect_right(measures, B) for B in rungs]
     assert census._count_mu(n, ordering, rungs) == want
+
+
+# the |disc| of a quadratic field over its odd squarefree part d: of the
+# two signs of d one gives d and the other 4d, and both signs of 2d give 8d;
+# the tame |disc| is d for all four
+QUADRATIC_COSTS = {"disc_exact": {1: 1, 4: 1, 8: 2}, "disc_tame": {1: 4}}
+
+
+# 4 table entries send nearly every z past the table; at the default, the z
+# past 2^14 go past it
+@pytest.mark.parametrize("table", [census._TABLE, 4])
+@given(ordering=st.sampled_from(sorted(QUADRATIC_COSTS)), b0=st.floats(1.0, 2.0**10),
+       doublings=st.integers(0, 10))
+@example(ordering="disc_exact", b0=1000.0, doublings=10)
+def test_count_mu2_matches_squarefree_oracle(table, ordering, b0, doublings):
+    # rungs b0 2^i with wild costs 4 and 8 repeat their z = cap // cost
+    # across rungs: the counter answers each distinct z once, and every
+    # (cap, cost) pair must still count it
+    rungs = [b0 * 2**i for i in range(doublings + 1)]
+    squarefree = squarefree_prime_to(2, 2**20)
+    want = [sum(k * squarefree[math.floor(B) // c] for c, k in QUADRATIC_COSTS[ordering].items())
+            for B in rungs]
+    with mock.patch.object(census, "_TABLE", table):
+        assert census._count_mu(2, ordering, rungs) == want
+
+
+def test_darda_cap_past_the_float_range_is_a_value_error():
+    # N = 42 for n = 7: the float test d^(1/42) <= B runs on d up to 2^1023,
+    # so a bound past (2^1023)^(1/42), about 2.1e7, has no cap to find
+    cap = census._disc_bound(2e7, 7, "darda")
+    assert cap ** (1 / 42) <= 2e7 < (cap + 1) ** (1 / 42)
+    for call in (lambda: census._disc_bound(3e7, 7, "darda"),
+                 lambda: list(enumerate_mu(7, 3e7, "darda")),
+                 lambda: count(LadderSpec(("mu", 7), "T", "darda", b0=1e3, doublings=15))):
+        with pytest.raises(ValueError, match=r"\^42 passes 2\^1023"):
+            call()
 
 
 @pytest.mark.parametrize("n", range(2, 13))

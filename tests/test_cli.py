@@ -252,6 +252,14 @@ def test_census_infeasible_sieve_exits_1(capsys, no_numpy_alloc):
     assert "sieve limit" in err
 
 
+def test_census_darda_cap_past_the_float_range_exits_1(capsys):
+    # mu_7 darda to 1e8 puts the |disc| cap near B^42, past 2^1023
+    code, out, err = run(capsys, "census", "--target", "mu:7", "--order", "darda",
+                         "--B0", "1e3", "--Bmax", "1e8")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "2^1023" in err and "Traceback" not in err
+
+
 def test_stacky_jobs_env(capsys, monkeypatch):
     seen = []
     real_count = census.count

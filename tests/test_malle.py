@@ -86,3 +86,14 @@ def test_invariants_reject_trivial_group():
     G = closure([from_cycles([], 1)])
     with pytest.raises(ValueError):
         a_invariant(G)
+
+
+def test_signature_for_field_reads_field_strings():
+    # "Q" and "Q(zeta_d)" name the same fields as ("zeta", 1) and ("zeta", d);
+    # any other string is a ValueError, not a TypeError from the generators
+    G = _group("cyclic_regular:6")
+    assert signature_for_field(G, "Q(zeta_3)") == signature_for_field(G, ("zeta", 3))
+    assert signature_for_field(G, " Q ") == signature_for_field(G, ("zeta", 1))
+    for text in ("Q(i)", "Q(zeta_x)", "Q(zeta_3", "zeta_3", ""):
+        with pytest.raises(ValueError, match="cannot parse field"):
+            signature_for_field(G, text)
