@@ -1,27 +1,27 @@
 """Censuses: enumerate cyclic torsors of bounded discriminant, build count
 ladders T(B)/M(B), and fit the exponents of B^alpha (log B)^beta.
 
-Two enumerators share one walk, ``_walk``, over supports of increasing
-primes pruned by the partial |disc|; each supplies only the local types a
-tame prime p admits.  ``enumerate_mu`` walks canonical Kummer classes, whose
-tame primes admit every twisted sector of ``heights.sectors`` (order k | n,
-cost p^(n - n/k)), and whose sign and wild exponents come beside each
-support from one per-residue table, ``_wild_table``, cheapest first (no
-caller depends on that order within a support); ``enumerate_cyclic`` walks
-cyclic degree-n fields over the local characters of ``_local_characters``,
-where order k needs k | p - 1, the Galois twist between Bmu_n and B(Z/nZ).
-``count`` looks each ladder
-target up in ``FAST_COUNTERS``; the M counter of a mu target whose T key is
-there streams ``enumerate_mu``, and any other target raises.  Every fast
-key goes through one local-type counter, ``_count_types``, which counts
-what a walk reaches from the tame types at each residue of p and the wild
-costs, on numpy arrays from ``arith.sieve``: the mu keys (T for n = 2..12
-under every ordering ``enumerate_mu`` takes, and M for prime n) give it
-the sectors at every residue, the wild costs of the same
-``_wild_table`` and the |disc| caps of ``_disc_bound``; the cyclic
-keys (M for n = 2..12) give it, for each d | n, the characters of order
-dividing d, and invert by Mobius over d.  A ladder past the
-counter's int64 range streams; one past physical memory raises ValueError.
+Each stack's local data is one cached record, ``LocalTypes``: the tame
+types a prime p admits at each residue u mod n, as (payload, class
+exponent, cost), and the wild rows beside a tame part of each class mod M,
+cheapest first.  ``_mu_types`` builds it for Bmu_n, whose tame primes admit
+every twisted sector of ``heights.sectors`` (order k | n, cost
+p^(n - n/k)) and whose wild rows are the sign and the wild exponents;
+``_cyclic_types`` builds it for B(Z/nZ) from the local characters of order
+dividing d, where order k needs k | p - 1, the Galois twist between the
+two stacks.  Both enumerators, ``enumerate_mu`` and ``enumerate_cyclic``,
+read their record through one walk, ``_walk``, over supports of
+increasing primes pruned by the partial |disc|, each beside its wild rows
+(no caller depends on the order within a support).  ``count`` looks each
+ladder target up in ``FAST_COUNTERS``; the M counter of a mu target whose
+T key is there streams ``enumerate_mu``, and any other target raises.
+Every fast key goes through one local-type counter, ``_count_types``,
+which counts what the walk reaches from the same record, on numpy arrays
+from ``arith.sieve``: the mu keys (T for n = 2..12 under every ordering
+``enumerate_mu`` takes, and M for prime n) with the |disc| caps of
+``_disc_bound``; the cyclic keys (M for n = 2..12) for each d | n, inverted
+by Mobius over d.  A ladder past the counter's int64 range streams; one
+past physical memory raises ValueError.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -118,43 +118,66 @@ class LadderSpec:
 # the support walk shared by both enumerators
 
 
-def _walk(least: int, disc_bound: int, table, fold, root, part: tuple[int, int] | None = None):
-    """Every support of increasing primes, one local type chosen per prime,
-    with |disc| <= disc_bound, as (state, |disc|): each support before its
-    extensions, the empty one (state ``root``, |disc| 1) first.
+# The local data of one stack, read by its enumerator and its counter.
+# types[u] lists the (payload, class exponent e, cost j) triples a tame prime
+# p = u mod n admits, none where u is no unit: such a type puts (p, payload)
+# in a support, p^j in its |disc| and p^e in its class mod M.  wild[c] lists
+# the (cost, pairs, tag) rows that go beside a tame part of class c mod M,
+# cheapest first, none where c is no unit: the wild primes' share of |disc|,
+# their (p, payload) pairs in prime order and a tag for the caller.
+LocalTypes = NamedTuple("LocalTypes", [("n", int), ("types", tuple), ("M", int), ("wild", tuple)])
 
-    ``table(p)`` lists the local types p admits as (type, e), p^e being
-    the type's share of |disc|; primes with no type never enter a support.
-    ``fold(state, p, type)`` extends a support's state by one prime.  A
-    type costs at least p^least, which caps the primes and prunes each
-    support.  ``part=(w, nparts)`` keeps the supports whose smallest prime
-    has index w mod nparts in the prime list, the empty support going with
-    index 0.
+
+def _walk(local: LocalTypes, disc_bound: int, part: tuple[int, int] | None = None):
+    """Every support of increasing tame primes, one type of ``local.types``
+    chosen per prime, beside each wild row of its class, with |disc| <=
+    disc_bound, as (pairs, tag, |disc|): the (p, payload) pairs of the tame
+    and wild primes merged in prime order.  Each support comes before its
+    extensions, the empty one first, and its wild rows cheapest first.
+
+    The least type cost p^m caps the primes and prunes each support; a
+    cap whose primes pass the sieve limit raises ValueError naming it
+    before anything is sieved.  ``part=(w, nparts)`` keeps the supports
+    whose smallest prime has index w mod nparts in the prime list, the
+    empty support going with index 0.
     """
-    primes = [(p, p**least, [(t, p**e) for t, e in types])
-              for p in primes_up_to(int(disc_bound ** (1.0 / least)) + 2)
-              if (types := table(p))]
+    n, types, M, wild = local
+    least = min(j for ts in types for _, _, j in ts)
+    limit = int(disc_bound ** (1.0 / least)) + 2
+    if limit >= 2**31:
+        raise ValueError(f"|disc| cap {disc_bound} needs primes past the sieve limit 2^31")
+    # per prime: its least cost, and per type the pair, p^e mod M and p^j
+    primes = [(p**least, [((p, t), pow(p, e, M), p**j) for t, e, j in ts])
+              for p in primes_up_to(limit) if (ts := types[p % n])]
 
-    def rec(idx: range, state, disc: int):
+    def rec(idx: range, pairs: tuple, c: int, disc: int):
         for i in idx:
-            p, least, types = primes[i]
+            least, ts = primes[i]
             if disc * least > disc_bound:
                 break
             # a support that cannot pay the next prime's least cost is a
             # leaf: no generator is started for its extensions
-            nxt = primes[i + 1][1] if i + 1 < len(primes) else disc_bound + 1
-            for t, pe in types:
-                d = disc * pe
+            nxt = primes[i + 1][0] if i + 1 < len(primes) else disc_bound + 1
+            for pair, pe, pj in ts:
+                d = disc * pj
                 if d <= disc_bound:
-                    s = fold(state, p, t)
-                    yield s, d
+                    s = pairs + (pair,), c * pe % M, d
+                    yield s
                     if d * nxt <= disc_bound:
-                        yield from rec(range(i + 1, len(primes)), s, d)
+                        yield from rec(range(i + 1, len(primes)), *s)
 
     start, step = (part[0] % part[1], part[1]) if part else (0, 1)
-    if start == 0:
-        yield root, 1
-    yield from rec(range(start, len(primes), step), root, 1)
+    supports = rec(range(start, len(primes), step), (), 1 % M, 1)
+    # each wild row with its largest prime (0 for none; none passes n)
+    wild = [[(cost, w, tag, w[-1][0] if w else 0) for cost, w, tag in row] for row in wild]
+    for pairs, c, disc in itertools.chain([((), 1 % M, 1)] * (start == 0), supports):
+        low = pairs[0][0] if pairs else n + 1
+        for cost, wpairs, tag, top in wild[c]:  # cheapest first
+            d = disc * cost
+            if d > disc_bound:
+                break
+            # the pairs are in prime order unless a tame prime lies below a wild one
+            yield (wpairs + pairs if low > top else tuple(sorted(wpairs + pairs))), tag, d
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +203,6 @@ def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     return lo
 
 
-def _exact_wild(n: int, ordering: str) -> bool:
-    """Whether ``ordering`` measures the wild primes: exact wild exponents
-    exist for n in {2, 3}, whose one wild prime is n; disc_tame drops them."""
-    return ordering != "disc_tame" and n in EXACT_WILD_DEGREES
-
-
 def enumerate_mu(
     n: int,
     Bmax: float,
@@ -198,7 +215,7 @@ def enumerate_mu(
     prime p admits every exponent e in 1..n-1, the twisted sectors of
     ``heights.sectors``, at a cost of p^(n - gcd(e, n)).  Beside each
     support go the sign and the wild patterns (an exponent at each p | n)
-    that ``_wild_table`` lists at the tame part's class, cheapest first, up
+    that ``_mu_types`` lists at the tame part's class, cheapest first, up
     to the first past the cap: within one support the stream runs cheapest
     wild pattern first.  No caller depends on that order.
     ``part=(w, nparts)`` restricts the stream to one deterministic
@@ -214,24 +231,10 @@ def enumerate_mu(
     if disc_bound < 1:
         return
     darda_exp = 1.0 / darda_denominator(n)
-    M, wild = _wild_table(n, ordering)
-
-    # a support's state: its tame value and factors, one exponent per prime
-    tame = sectors(n)
-    walk = _walk(tame.min_value(), disc_bound, lambda p: () if n % p == 0 else tame.entries,
-                 lambda s, p, e: (s[0] * p**e, s[1] + ((p, e),)), (1, ()), part)
-    for (tame_a, tame_factors), tame_disc in walk:
-        for cost, sign, pat in wild[tame_a % M]:  # cheapest first
-            d = tame_disc * cost
-            if d > disc_bound:
-                break
-            m = d ** darda_exp if ordering == "darda" else d
-            if m <= Bmax:
-                # the factors are in order unless a tame prime lies below a wild one
-                factors = pat + tame_factors
-                if pat and tame_factors and tame_factors[0][0] < pat[-1][0]:
-                    factors = tuple(sorted(factors))
-                yield KummerClass(n, FactoredInteger(sign, factors)), m
+    for factors, sign, d in _walk(_mu_types(n, ordering), disc_bound, part):
+        m = d ** darda_exp if ordering == "darda" else d
+        if m <= Bmax:
+            yield KummerClass(n, FactoredInteger(sign, factors)), m
 
 
 def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
@@ -247,19 +250,23 @@ def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], .
 
 
 @cache
-def _wild_table(n: int, ordering: str) -> tuple[int, tuple[tuple[tuple[int, int, tuple], ...], ...]]:
-    """The wild costs beside a tame part, read by ``enumerate_mu`` and
-    ``_count_mu``: M (n^2 where ``ordering`` measures the wild primes, else
-    1) and, at each residue u mod M, every (cost, sign, pattern) of
-    ``_wild_patterns`` beside a tame part of class u, cheapest first, in
-    ``_wild_patterns`` order among equal costs; none where u is no unit.
-    The cost is n^(wild exponent), or 1 where the wild primes are not
-    measured.  Built once per (n, ordering), of tuples alone.
+def _mu_types(n: int, ordering: str) -> LocalTypes:
+    """The local types of Bmu_n under ``ordering``: at every tame residue
+    the twisted sectors of ``heights.sectors``, an exponent e of payload e
+    and cost n - gcd(e, n).  M is n^2 where ``ordering`` measures the wild
+    primes (n in {2, 3}, not disc_tame), else 1.  At each unit c mod M the
+    wild rows are every (cost, pattern, sign) of ``_wild_patterns`` beside a
+    tame part of class c, cheapest first, in ``_wild_patterns`` order among
+    equal costs: the cost is n^(wild exponent), or 1 where the wild primes
+    are not measured.
     """
-    M = n * n if _exact_wild(n, ordering) else 1
-    return M, tuple(tuple(sorted(((n ** wild_exponent(n, s * w * u, v) if M > 1 else 1, s, pat)
-                                  for s, w, v, pat in _wild_patterns(n)), key=lambda t: t[0]))
-                    if math.gcd(u, M) == 1 else () for u in range(M))
+    M = n * n if ordering != "disc_tame" and n in EXACT_WILD_DEGREES else 1
+    tame = tuple((e, e, j) for e, j in sectors(n).entries)
+    return LocalTypes(n, tuple(tame if math.gcd(u, n) == 1 else () for u in range(n)), M,
+                      tuple(tuple(sorted(((n ** wild_exponent(n, s * w * c, v) if M > 1 else 1,
+                                           pat, s) for s, w, v, pat in _wild_patterns(n)),
+                                         key=lambda row: row[0]))
+                            if math.gcd(c, M) == 1 else () for c in range(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +313,37 @@ def _local_characters(p: int, n: int) -> list[tuple[tuple[tuple[int, ...], int, 
     return out
 
 
+@cache
+def _cyclic_types(n: int, d: int) -> LocalTypes:
+    """The local characters into Z/nZ of order dividing d, each with its
+    values on the generators of the local unit group as payload.  A tame
+    prime p = u mod n admits the values c on the generator of (Z/p)^x whose
+    order k = n / gcd(n, c) divides both d and p - 1 (the Galois twist),
+    at a cost of p^(n - n/k).  M is 1: the one class's wild rows are every
+    choice of a character of ``_local_characters`` or none at each p | n,
+    tagged by their share of the conductor.
+    """
+    types = tuple(tuple(((c,), 0, n - n // k) for c in range(1, n) for k in [n // math.gcd(n, c)]
+                        if d % k == 0 == (u - 1) % k) if math.gcd(u, n) == 1 else ()
+                  for u in range(n))
+    rows = [(1, (), 1)]
+    for p, _ in factor(n).factors:
+        rows += [(cost * p**e, pairs + ((p, values),), f * q) for cost, pairs, f in rows
+                 for (values, q, k), e in _local_characters(p, n) if d % k == 0]
+    return LocalTypes(n, types, 1, (tuple(sorted(rows, key=lambda row: row[0])),))
+
+
 def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     """Stream cyclic degree-n extensions of Q with |disc| <= Bmax, once each.
 
     Characters chi into Z/nZ are supports walked by ``_walk`` over the
-    local characters of ``_local_characters``: a tame prime p admits a
-    character of order k only when k | p - 1, at a cost of p^(n - n/k).
-    Those of order exactly n are kept up to Aut(Z/nZ); the discriminant
-    is prod_{j=1}^{n-1} cond(chi^j).  The stream is in support order, not
-    conductor order.
+    local characters of ``_cyclic_types(n, n)``: a tame prime p admits a
+    character of order k only when k | p - 1, at a cost of p^(n - n/k), and
+    the wild primes p | n carry the characters of ``_local_characters``.
+    A character's values are its pairs' payloads in prime order; it is
+    kept when its order is exactly n, once per Aut(Z/nZ) orbit.  The
+    discriminant is prod_{j=1}^{n-1} cond(chi^j).  The stream is in support
+    order, not conductor order.
     """
     if n < 2 or n > 12:
         raise ValueError("cyclic enumeration supports 2 <= n <= 12")
@@ -326,24 +355,12 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     # that fix c (u = 1 mod n/c) can carry v lower
     fixing = {c: [u for u in unit_group(n) if u % (n // c) == 1 and u != 1]
               for c in range(1, n) if n % c == 0}
-    def table(p: int) -> list:
-        # a tame prime p admits the values c = s, 2s, ... (s = n / gcd(n,
-        # p - 1)) on the generator of (Z/p)^x: conductor p, order k and
-        # cost p^(n - n/k)
-        if n % p == 0:
-            return _local_characters(p, n)
-        s = n // math.gcd(n, p - 1)
-        return [(((c,), p, k), n - n // k) for c in range(s, n, s) for k in [n // math.gcd(n, c)]]
-
-    def fold(state, p, char):
-        (values, order, cond), (v, q, k) = state, char
-        return values + v, math.lcm(order, k), cond * q
-
-    for (v, o, f), d in _walk(sectors(n).min_value(), disc_bound, table, fold, ((), 1, 1)):
-        # order exactly n, one character per Aut(Z/nZ) orbit
-        if o == n and n % (c := next(c for c in v if c)) == 0 \
+    for pairs, f, d in _walk(_cyclic_types(n, n), disc_bound):
+        v = sum([values for _, values in pairs], ())
+        # order n / gcd(n, v) exactly n, one character per Aut(Z/nZ) orbit
+        if math.gcd(n, *v) == 1 and n % (c := next(filter(None, v))) == 0 \
                 and all(tuple(u * x % n for x in v) >= v for u in fixing[c]):
-            yield CyclicField(n, f, v, d), d
+            yield CyclicField(n, f * math.prod([p for p, _ in pairs if n % p]), v, d), d
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +389,7 @@ def _ranges(lens: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     return j, np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens - starts, lens)
 
 
-def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> list[int] | None:
+def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
     """How many supports ``_walk`` reaches within each |disc| cap (caps
     ascending), wild costs included, counted from the local types alone;
     None, before anything is allocated, when the top cap reaches 2^62, past
@@ -380,10 +397,11 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
     within the top cap: the h sweep starts at each wild cost and prunes by
     top // k.
 
-    A tame prime p = u mod L = lcm(n, M) admits the types ``types[u]``,
-    (class exponent e, cost j) pairs, a type costing p^j and moving the
-    tame part's class mod M by p^e.  ``costs[u]`` counts the wild costs
-    beside a tame part of class u mod M; callers with M > 1 have h = 1.
+    ``local`` is the record the walk reads: a tame prime p admits the types
+    ``local.types[p % n]``, each costing p^j and moving the tame part's
+    class mod M by p^e, so the counter keys the primes by their residue
+    u mod L = lcm(n, M); beside a tame part of class c mod M go the wild
+    costs of ``local.wild[c]``.  Callers with M > 1 have h = 1.
     The tame supports have the Dirichlet series f = g * h.  g puts the
     leading types of each prime's residue (least cost p^m) on the squarefree
     d prime to n, read off a prefix-sum table over ``arith.sieve``.  When
@@ -397,7 +415,9 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
     are swept one prime more at a time.  Past physical memory the counter
     raises ValueError instead of allocating.
     """
+    n, types, M, rows = local
     top = max(caps)
+    costs = {c: Counter(cost for cost, _, _ in row) for c, row in enumerate(rows) if row}
     # the units mod M, the keys of costs, are the powers of g, and g^i
     # matters only through i mod C, g^C being the least power of g that
     # keeps every cost
@@ -412,21 +432,21 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
         return None
     log = {pow(g, i, M): i % C for i in range(len(costs))}
     bound = top // min(c for _, c, _ in wild)
-    m = min(j for ts in types.values() for _, j in ts)
+    m = min(j for ts in types for _, _, j in ts)
     # P[u]: the leading types at residue u as a polynomial in the class
     # shift; H[u][j] = h(p^j) at p = u mod L
     L = math.lcm(n, M)
     P = [[0] * C for _ in range(L)]
     H = [[1] + [0] * bound.bit_length() for _ in range(L)]
-    for u, ts in types.items():
-        f = Counter(j for _, j in ts)  # f(p^j)
-        for e, j in ts:
+    for u in unit_group(L):
+        f = Counter(j for _, _, j in types[u % n])  # f(p^j)
+        for _, e, j in types[u % n]:
             P[u][e * log[u % M] % C] += j == m
         for j in range(m, len(H[u])):
             H[u][j] = f[j] - f[m] * H[u][j - m]
 
     zmax = int(_iroot(np.array([bound]), m)[0])
-    mobius = all(P[u] == [1] + [0] * (C - 1) for u in types)
+    mobius = all(P[u] == [1] + [0] * (C - 1) for u in unit_group(L))
     Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius else zmax
     # peak memory per sieve entry, measured: 13-14 bytes on the Mobius path
     # (the sieve's own peak), 26-37 for one class row (the sieve, the live d,
@@ -528,42 +548,31 @@ def _count_types(n: int, caps: list[int], types: dict, costs: dict, M: int) -> l
 def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int] | None:
     """T(B), or M(B) for prime n, for mu_n, every rung at once: what
     ``enumerate_mu`` walks, counted by ``_count_types`` from the same
-    sectors (``heights.sectors``) at every prime, the same wild costs
-    (``_wild_table``) and the same |disc| caps (``_disc_bound``).
-    Where the wild primes are measured (n in {2, 3}) the wild cost reads
-    the tame part mod M = n^2.  For prime n the one reducible class is
-    a = 1, so M(B) is T(B) less a = 1 where its |disc| is within the cap.
+    record (``_mu_types``) and the same |disc| caps (``_disc_bound``).
+    For prime n the one reducible class is a = 1, so M(B) is T(B) less
+    a = 1 where its |disc| is within the cap.
     """
     caps = [_disc_bound(B, n, ordering) for B in rungs]
-    M, wild = _wild_table(n, ordering)
-    costs = {u: Counter(c for c, _, _ in ws) for u, ws in enumerate(wild) if ws}
-    types = dict.fromkeys(unit_group(math.lcm(n, M)), sectors(n).entries)
-    one = next(c for c, s, pat in wild[1 % M] if (s, pat) == (1, ()))  # the |disc| of a = 1
-    counts = _count_types(n, caps, types, costs, M)
+    local = _mu_types(n, ordering)
+    one = next(c for c, pat, s in local.wild[1 % local.M] if (s, pat) == (1, ()))  # a = 1
+    counts = _count_types(local, caps)
     return counts and [c - (counter == "M" and cap >= one) for c, cap in zip(counts, caps)]
 
 
 def _count_cyclic(n: int, rungs: list[float]) -> list[int] | None:
     """M(B) for cyclic degree-n fields, every rung at once: the characters
     of order exactly n, over phi(n), are sum_{d | n} mu(n/d) C_d, C_d
-    counting the characters of order dividing d.  ``_count_types`` counts
-    C_d from the tame types of order k | gcd(d, p - 1), phi(k) of cost p^(n - n/k)
-    each, and the wild costs of ``_local_characters`` of order dividing d.
+    counting the characters of order dividing d, which ``_count_types``
+    counts from ``_cyclic_types(n, d)``.
     """
     caps = [math.floor(B) for B in rungs]
     mob = sieve(n)[1].tolist()  # mob[n // d] = mu(n/d)
     total = [mob[n] * (cap >= 1) for cap in caps]  # C_1 = 1
     for d in (d for d in range(2, n + 1) if n % d == 0 and mob[n // d]):
-        types = {u: [(0, n - n // k) for k in range(2, d + 1) if d % k == 0 == (u - 1) % k
-                     for _ in unit_group(k)] for u in unit_group(n)}
-        wild = Counter(map(math.prod, itertools.product(*(
-            [1] + [p**e for (_, _, k), e in _local_characters(p, n) if d % k == 0]
-            for p, _ in factor(n).factors))))
-        counts = _count_types(n, caps, types, {0: wild}, 1)
-        if counts is None:
+        if (counts := _count_types(_cyclic_types(n, d), caps)) is None:
             return None
         total = [t + mob[n // d] * c for t, c in zip(total, counts)]
-    return [t // len(types) for t in total]  # one key of types per unit mod n
+    return [t // len(unit_group(n)) for t in total]
 
 
 # ---------------------------------------------------------------------------

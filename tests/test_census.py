@@ -140,7 +140,7 @@ def test_enumerate_mu_partitions_tile_the_stream_property(case):
 def test_wild_table_matches_discriminant(n, ordering):
     # every residue u mod n^2 and every wild pattern: the cost is the n-part
     # of |disc| of a class whose tame part is a prime q = u mod n^2
-    M, table = census._wild_table(n, ordering)
+    _, _, M, table = census._mu_types(n, ordering)
     assert M == (n * n if ordering == "disc_exact" else 1) == len(table)
     assert [u for u in range(M) if table[u]] == [u for u in range(M) if math.gcd(u, M) == 1]
     mode = {"disc_exact": "exact", "disc_tame": "tame"}[ordering]
@@ -149,8 +149,8 @@ def test_wild_table_matches_discriminant(n, ordering):
         q = next(q for q in primes_up_to(1000) if q % (n * n) == u)
         row = table[u % M]
         assert [c for c, _, _ in row] == sorted(c for c, _, _ in row)  # cheapest first
-        assert sorted((s, pat) for _, s, pat in row) == patterns
-        for cost, s, pat in row:
+        assert sorted((s, pat) for _, pat, s in row) == patterns
+        for cost, pat, s in row:
             cls = KummerClass(n, FactoredInteger(s, tuple(sorted(pat + ((q, 1),)))))
             assert cost == n ** discriminant(cls, mode).value.valuation(n), (u, s, pat)
 
@@ -160,9 +160,9 @@ def test_wild_table_unmeasured_costs_one(n):
     # disc_tame (and darda for n > 3) measures no wild prime: one class,
     # every pattern at cost 1 in _wild_patterns order
     for ordering in ("disc_tame", "darda"):
-        M, table = census._wild_table(n, ordering)
+        _, _, M, table = census._mu_types(n, ordering)
         assert (M, len(table)) == (1, 1)
-        assert table[0] == tuple((1, s, pat) for s, _, _, pat in census._wild_patterns(n))
+        assert table[0] == tuple((1, pat, s) for s, _, _, pat in census._wild_patterns(n))
 
 
 @given(st.data())
@@ -260,6 +260,15 @@ def test_enumerate_cyclic_matches_conductor_scan(n):
         assert got == [w for w in want if w[2] <= b], b
 
 
+def test_enumerate_cyclic_puts_tame_primes_below_wild_ones_in_order():
+    # conductor 75 = 3 * 5^2: the tame prime 3 lies below the wild prime 5,
+    # so the character's values must be merged in prime order, (5, 2)
+    want = cyclic_fields_by_conductor(10, 4e13)
+    assert (75, (5, 2), 37_078_857_421_875) in want
+    assert sorted((fld.conductor, fld.character, fld.disc)
+                  for fld, _ in enumerate_cyclic(10, 4e13)) == want
+
+
 def _phi(k):
     return sum(1 for i in range(1, k + 1) if math.gcd(i, k) == 1)
 
@@ -289,19 +298,21 @@ def test_count_cyclic_reads_the_local_characters(monkeypatch, n):
             if n % d == 0 and all(e == 1 for _, e in factor(n // d).factors)}
     units = {u for u in range(1, n + 1) if math.gcd(u, n) == 1}
     assert len(calls) == len(want)
-    for _, caps, types, costs, M in calls:
-        d = math.lcm(*(n // (n - j) for _, j in types[1]))  # p = 1 mod n admits every k | d
+    for (m, types, M, rows), caps in calls:
+        d = math.lcm(*(n // (n - j) for _, _, j in types[1]))  # p = 1 mod n admits every k | d
         want.discard(d)
-        assert (caps, M, set(types)) == ([10**6], 1, units)
+        assert (caps, M, m, len(types)) == ([10**6], 1, n, n)
+        assert {u for u in range(n) if types[u]} <= units
         for p in primes_up_to(300):
             if n % p:
                 chars = Counter(e for (_, q, k), e in census._local_characters(p, n) if d % k == 0)
-                assert Counter(j for _, j in types[p % n]) == chars, (d, p)
+                assert Counter(j for _, _, j in types[p % n]) == chars, (d, p)
         wild = Counter({1: 1})
         for p, _ in factor(n).factors:
             local = [1] + [p**e for (_, _, k), e in census._local_characters(p, n) if d % k == 0]
             wild = Counter(w * c for w in wild.elements() for c in local)
-        assert costs == {0: wild}, d
+        assert len(rows) == 1 and Counter(c for c, _, _ in rows[0]) == wild, d
+        assert [c for c, _, _ in rows[0]] == sorted(c for c, _, _ in rows[0])  # cheapest first
     assert not want
 
 
@@ -332,6 +343,16 @@ def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
         list(enumerate_mu(3, 8192, "darda"))
     with pytest.raises(ValueError, match="sieve limit"):
         list(enumerate_cyclic(2, 1e10))
+
+
+def test_count_past_the_sieve_names_the_disc_cap(no_numpy_alloc):
+    # mu_2 darda to 1e3 * 2^30: the top |disc| cap passes the counter's
+    # int64 range, so the ladder streams, and its primes pass the sieve
+    spec = LadderSpec(("mu", 2), "T", "darda", b0=1e3, doublings=30)
+    cap = census._disc_bound(spec.rungs()[-1], 2, "darda")
+    with pytest.raises(ValueError, match="sieve limit") as err:
+        count(spec)
+    assert f"|disc| cap {cap}" in str(err.value)
 
 
 def _streamed_count(key, B):

@@ -2,13 +2,15 @@
 two checkouts can be compared entry by entry.  A correctness check, not a
 benchmark: nothing is timed.
 
-Two kinds of entries:
+Three kinds of entries:
 
 - ``count()`` for every ``FAST_COUNTERS`` key, on the ladders b0 * 2^i of
   ``LADDERS``: the counts, or the exception's type and message;
 - ``enumerate_mu(n, B, ordering)`` for n = 2..6 under every ordering it
   takes, at the |disc| caps of ``ENUM_CAPS``: the sorted multiset of
-  (a, measure) pairs.
+  (a, measure) pairs;
+- ``enumerate_cyclic(n, B)`` for n = 2..12 at the bounds of
+  ``CYCLIC_BOUNDS``: the sorted (conductor, character, |disc|) triples.
 
 It prints one sha256 digest over every entry; ``--dump`` prints the entries
 themselves first, one per line, so that two dumps can be compared with
@@ -22,7 +24,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from stacky.census import FAST_COUNTERS, ORDERINGS, LadderSpec, count, enumerate_mu  # noqa: E402
+from stacky.census import (FAST_COUNTERS, ORDERINGS, LadderSpec, count,  # noqa: E402
+                           enumerate_cyclic, enumerate_mu)
 from stacky.heights import darda_denominator  # noqa: E402
 from stacky.kummer import EXACT_WILD_DEGREES  # noqa: E402
 
@@ -30,6 +33,10 @@ from stacky.kummer import EXACT_WILD_DEGREES  # noqa: E402
 LADDERS = ((1e3, 30), (7.3, 30), (1e6, 24))
 # |disc| caps per n; darda bounds are the cap ** (1/N)
 ENUM_CAPS = {2: 3 * 10**4, 3: 10**6, 4: 10**7, 5: 10**9, 6: 10**9}
+# |disc| bounds per n, about 0.3 s in all; 10: 1e14 reaches conductors 75
+# and 132, where a tame prime lies below a wild one
+CYCLIC_BOUNDS = {2: 5e4, 3: 1e8, 4: 1e8, 5: 1e15, 6: 1e8, 7: 1e16, 8: 1e13, 9: 1e16,
+                 10: 1e14, 11: 1e19, 12: 2e14}
 
 
 def entries():
@@ -49,6 +56,9 @@ def entries():
             B = cap ** (1 / darda_denominator(n)) if ordering == "darda" else cap
             classes = sorted((cls.a.value, m) for cls, m in enumerate_mu(n, B, ordering))
             yield f"enumerate_mu {n} {B!r} {ordering}", classes
+    for n, B in CYCLIC_BOUNDS.items():
+        fields = sorted((f.conductor, f.character, f.disc) for f, _ in enumerate_cyclic(n, B))
+        yield f"enumerate_cyclic {n} {B!r}", fields
 
 
 def main() -> None:
