@@ -2,9 +2,10 @@
 unit groups, and cyclotomic signatures.
 
 Everything here works on plain Python integers and :class:`FactoredInteger`
-values; all functions are pure and safe to call concurrently.  The one
-cache, the read-only SQUFOF multiplier table, is built on first use; two
-threads that race to build it build the same table.
+values; all functions are pure and safe to call concurrently.  The caches,
+the trial-division primes, the SQUFOF multiplier table and the primes of
+each exponent n, are read-only and built on first use, never at import;
+two threads that race to build one build the same value.
 """
 
 from __future__ import annotations
@@ -314,37 +315,46 @@ def _factor_into(n: int, exps: dict[int, int]) -> None:
 def factor(m: int) -> FactoredInteger:
     """Exact factorization of a nonzero integer.
 
-    Trial division by 2, 3, 5 and a mod-30 wheel up to TRIAL_DIVISION_BOUND
-    (2**10), stopping early once p^2 exceeds the cofactor.  A cofactor
-    left composite has only prime factors above 2**10.  It is split by an
-    exact root when it is a perfect power; else by Brent-Pollard rho (one
-    gcd per 128 steps) for about 500 steps, which finds most primes below
-    2**16; else by SQUFOF racing up to 1024 multipliers in numpy, whose
-    median is about 2 N^(1/4) steps over all lanes; else by rho without a
-    bound.  Every factor is certified by deterministic Miller-Rabin.
+    Trial division by the primes up to TRIAL_DIVISION_BOUND (2**10), which
+    ``primes_up_to`` sieves once, on the first call; it stops early once
+    p^2 exceeds the cofactor.  A cofactor left composite has only prime
+    factors above 2**10.  It is split by an exact root when it is a perfect
+    power; else by Brent-Pollard rho (one gcd per 128 steps) for about 500
+    steps, which finds most primes below 2**16; else by SQUFOF racing up to
+    1024 multipliers in numpy, whose median is about 2 N^(1/4) steps over
+    all lanes; else by rho without a bound.  Every factor is certified by
+    deterministic Miller-Rabin.
     """
     if m == 0:
         raise ValueError("cannot factor zero")
     sign = 1 if m > 0 else -1
     n = abs(m)
     exps: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _trial_primes():
+        if p * p > n:
+            break
         while n % p == 0:
             n //= p
             exps[p] = exps.get(p, 0) + 1
-    p = 7
-    # wheel over residues coprime to 30
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p <= TRIAL_DIVISION_BOUND:
-        while n % p == 0:
-            n //= p
-            exps[p] = exps.get(p, 0) + 1
-        p += increments[i]
-        i = (i + 1) % 8
     if n > 1:
         _factor_into(n, exps)
     return FactoredInteger(sign, tuple(sorted(exps.items())))
+
+
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    """The primes up to TRIAL_DIVISION_BOUND, sieved on the first call."""
+    return tuple(primes_up_to(TRIAL_DIVISION_BOUND))
+
+
+@functools.cache
+def _primes_of(n: int) -> tuple[int, ...]:
+    """The primes dividing the exponent n, in increasing order, factored
+    once per n.  ``kummer`` reads them for the least prime r of a class,
+    the irreducibility test and the wild primes of every discriminant;
+    ``census`` for the wild patterns and local characters at p | n and the
+    primes struck from the counters' Mobius table."""
+    return tuple(q for q, _ in factor(n).factors)
 
 
 def valuation(m: FactoredInteger | int, p: int) -> int:
@@ -376,30 +386,17 @@ def nth_power_free_reduce(
         raise ValueError("n must be >= 2")
     if isinstance(num, int):
         num = factor(num)
-    if den is None:
-        den = FactoredInteger.one()
-    elif isinstance(den, int):
-        den = factor(den)
-    exps: dict[int, int] = {}
-    for p, e in num.factors:
-        exps[p] = exps.get(p, 0) + e
-    for p, e in den.factors:
-        exps[p] = exps.get(p, 0) - e
-    reduced = tuple(
-        sorted((p, e % n) for p, e in exps.items() if e % n)
-    )
-    sign = num.sign * den.sign
-    if n % 2 == 1:
-        sign = 1
-    return FactoredInteger(sign, reduced)
+    if den is not None:
+        # num/den = num * den^(n-1) in Q^x / (Q^x)^n, with the sign of num/den
+        num = num * (factor(den) if isinstance(den, int) else den).pow(n - 1)
+    return FactoredInteger(1 if n % 2 else num.sign,
+                           tuple((p, e % n) for p, e in num.factors if e % n))
 
 
 def unit_group(m: int) -> list[int]:
     """Units of Z/mZ as sorted residues in [1, m]; unit_group(1) == [1]."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    if m == 1:
-        return [1]
     return [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
 
 

@@ -39,8 +39,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import (FactoredInteger, factor, primes_up_to, sieve, smallest_prime_factor,
-                    unit_group, valuation)
+from .arith import (FactoredInteger, _primes_of, is_prime, primes_up_to, sieve, unit_group,
+                    valuation)
 from .heights import darda_denominator, sectors
 from .kummer import EXACT_WILD_DEGREES, KummerClass, is_irreducible, wild_exponent
 
@@ -243,7 +243,7 @@ def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], .
     of those prime powers, its valuation v at n when n is prime (else 0),
     and its factors (p, e) with e > 0."""
     wild = [(1, 0, ())]
-    for p, _ in factor(n).factors:
+    for p in _primes_of(n):
         wild = [(w * p**e, e if p == n else v, pat + (((p, e),) if e else ()))
                 for w, v, pat in wild for e in range(n)]
     return [(s, w, v, pat) for w, v, pat in wild for s in ((1,) if n % 2 else (1, -1))]
@@ -327,7 +327,7 @@ def _cyclic_types(n: int, d: int) -> LocalTypes:
                         if d % k == 0 == (u - 1) % k) if math.gcd(u, n) == 1 else ()
                   for u in range(n))
     rows = [(1, (), 1)]
-    for p, _ in factor(n).factors:
+    for p in _primes_of(n):
         rows += [(cost * p**e, pairs + ((p, values),), f * q) for cost, pairs, f in rows
                  for (values, q, k), e in _local_characters(p, n) if d % k == 0]
     return LocalTypes(n, types, 1, (tuple(sorted(rows, key=lambda row: row[0])),))
@@ -483,7 +483,7 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
     Wt, Q, R = (np.concatenate(x) for x in zip(*sup))
 
     spf, mu = sieve(Z)
-    for p, _ in factor(n).factors:
+    for p in _primes_of(n):
         mu[::p] = 0
     if mobius:
         # the squarefree d <= z prime to n (over spf, which this path does not
@@ -605,7 +605,7 @@ def _mu_partition_counts(args) -> list[int]:
 FAST_COUNTERS = {
     **{("mu", n, c, o): partial(_count_mu, n, o, counter=c)
        for n in range(2, 13) for o in ORDERINGS if o != "disc_exact" or n in EXACT_WILD_DEGREES
-       for c in "TM" if c == "T" or smallest_prime_factor(n) == n},
+       for c in "TM" if c == "T" or is_prime(n)},
     **{("cyclic", n, "M", "disc_exact"): partial(_count_cyclic, n) for n in range(2, 13)},
 }
 

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import census as census_mod
-from .arith import cyclotomic_image, factor, parse_field
+from .arith import cyclotomic_image, parse_field
 from .heights import (
     a_eszb_closed,
     a_eszb_witness,
@@ -97,7 +97,7 @@ def _cmd_malle(args) -> int:
 
 
 def _cmd_kummer(args) -> int:
-    cls = canonical(factor(args.a), args.n)
+    cls = canonical(args.a, args.n)
     if args.which == "disc":
         res = discriminant(cls, args.mode)
         payload = {"n": args.n, "a": cls.a.value, **res.to_json()}
@@ -113,7 +113,7 @@ def _scale(x: float, log10: bool) -> float:
 
 
 def _cmd_height(args) -> int:
-    cls = canonical(factor(args.a), args.n)
+    cls = canonical(args.a, args.n)
     if args.kind == "eszb":
         h = eszb_height(cls, args.mode)
     elif args.kind == "darda":

@@ -9,11 +9,10 @@ interval [0, v_p(n^n a^(n-1))].
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .arith import FactoredInteger, factor, nth_power_free_reduce, valuation
+from .arith import FactoredInteger, _primes_of, nth_power_free_reduce, valuation
 
 __all__ = [
     "KummerClass",
@@ -50,9 +49,8 @@ class KummerClass:
 def canonical(
     a: FactoredInteger | int, n: int, den: FactoredInteger | int | None = None
 ) -> KummerClass:
-    """The canonical Kummer class of a (or a/den) for exponent n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    """The canonical Kummer class of a (or a/den) for exponent n >= 2; an
+    int a or den is factored here."""
     return KummerClass(n, nth_power_free_reduce(a, n, den))
 
 
@@ -69,14 +67,6 @@ def is_irreducible(cls: KummerClass) -> bool:
     if n % 4 == 0 and _in_minus_four_fourth_powers(a):
         return False
     return True
-
-
-@functools.cache
-def _primes_of(n: int) -> tuple[int, ...]:
-    """The primes dividing the exponent n, in increasing order, factored
-    once per n: a census tests every streamed class of one exponent, and
-    every query reads them for its discriminant."""
-    return tuple(q for q, _ in factor(n).factors)
 
 
 def _is_qth_power(a: FactoredInteger, q: int) -> bool:
@@ -173,10 +163,7 @@ def tame_local(cls: KummerClass, p: int) -> LocalDiscData:
     """Exact exponent n - gcd(v_p(a), n) at a prime p not dividing n."""
     if cls.n % p == 0:
         raise ValueError(f"{p} divides n={cls.n}; use wild_local")
-    v = cls.a.valuation(p)
-    if v == 0:
-        return LocalDiscData(p, "tame", 0, 0, tame_d=cls.n)
-    d = math.gcd(v, cls.n)
+    d = math.gcd(cls.a.valuation(p), cls.n)
     return LocalDiscData(p, "tame", cls.n - d, cls.n - d, tame_d=d)
 
 

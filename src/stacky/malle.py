@@ -65,6 +65,7 @@ def min_index(G: PermGroup) -> int:
 
 
 def minimal_classes(G: PermGroup) -> list[ConjClass]:
+    _require_transitive_nontrivial(G)
     return _minimal(conjugacy_classes(G))
 
 

@@ -8,7 +8,8 @@ groups come from a plain breadth-first closure and brute-force conjugation
 on image tuples, power-map orbits from repeated composition, and cyclic
 fields come from a scan of every conductor f over every character of
 (Z/fZ)^x, unit subgroups from a check of every product of two residues,
-and squarefree counts from a plain bytearray sieve.  The one exception is
+squarefree counts from a plain bytearray sieve, and n-th-power-free
+reductions from ``sympy.factorint``.  The one exception is
 ``census_measure``, the slow path that measures a census class through the
 library's assembled ``discriminant()``; the integer kernel of
 ``enumerate_mu`` is checked against it.
@@ -21,6 +22,7 @@ import functools
 import itertools
 import math
 from array import array
+from collections import Counter
 
 # ---------------------------------------------------------------------------
 # F_p[x] arithmetic on ascending coefficient lists
@@ -461,6 +463,22 @@ def squarefree_prime_to(n: int, limit: int) -> array:
     for q in squares + [q for q in range(2, n + 1) if n % q == 0]:
         keep[q::q] = bytes(len(range(q, limit + 1, q)))
     return array("q", itertools.accumulate(keep))
+
+
+# ---------------------------------------------------------------------------
+# n-th-power-free reduction
+
+
+def power_free_reduce(num: int, n: int, den: int = 1) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(sign, factors) of the representative of num/den in Q^x/(Q^x)^n:
+    the exponents of ``sympy.factorint`` on |num| less those on |den|, each
+    taken mod n; the sign of num/den for even n, else +1, as -1 = (-1)^n."""
+    import sympy
+
+    exps = Counter(sympy.factorint(abs(num)))
+    exps.subtract(sympy.factorint(abs(den)))
+    sign = 1 if n % 2 or (num > 0) == (den > 0) else -1
+    return sign, tuple(sorted((p, e % n) for p, e in exps.items() if e % n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from stacky.arith import (
     unit_group,
     valuation,
 )
-from oracles import _spf_table, closed_under_products
+from oracles import _spf_table, closed_under_products, power_free_reduce
 from stacky import arith
 from stacky.arith import _pollard_rho, _split, _squfof_race
 
@@ -227,6 +227,35 @@ def test_nth_power_free_reduce_exponent_range():
         for p, e in factor(den).factors:
             exps[p] = exps.get(p, 0) - e
         assert all(e % n == 0 for e in exps.values())
+
+
+# small primes, primes past the trial bound, and 2**31 - 1, with exponents
+# well past every n, so reductions wrap
+_REDUCE_POWERS = st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 13, 1031, 65537, 2**31 - 1]),
+                                    st.integers(1, 25)), max_size=4)
+
+
+def _bounded_product(prime_powers, bound=2**64):
+    """The product of the (p, e) taken in order while it stays below bound."""
+    m = 1
+    for p, e in prime_powers:
+        if m * p**e < bound:
+            m *= p**e
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REDUCE_POWERS, _REDUCE_POWERS, st.integers(0, 25), st.sampled_from([1, -1]),
+       st.sampled_from([1, -1]), st.integers(2, 12))
+def test_nth_power_free_reduce_matches_factorint(num_powers, den_powers, shared, sign, den_sign,
+                                                 n):
+    # den shares the least prime of num to its own exponent; den = 1 is
+    # passed as None
+    num = sign * _bounded_product(num_powers)
+    least = min((p for p, _ in num_powers), default=2)
+    den = den_sign * _bounded_product([(least, shared)] * (shared > 0) + den_powers)
+    rep = nth_power_free_reduce(num, n, None if den == 1 else den)
+    assert (rep.sign, rep.factors) == power_free_reduce(num, n, den)
 
 
 def test_nth_power_free_reduce_examples():

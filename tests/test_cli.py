@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import stacky
 from stacky import census, cli
 from stacky.census import enumerate_cyclic, enumerate_mu
 from stacky.cli import main
@@ -18,6 +23,22 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def test_import_builds_no_numpy_arrays():
+    # the package and the CLI sieve nothing at import: in a fresh interpreter
+    # numpy's array constructors raise, and both imports still succeed
+    code = """
+import numpy as np
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy array built at import")
+np.zeros = np.ones = np.arange = refuse
+import stacky, stacky.cli
+"""
+    src = str(pathlib.Path(stacky.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_malle_a(capsys):

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from stacky.arith import cyclotomic_image
 from stacky.malle import (
     a_invariant,
     b_invariant,
     group_preset,
     malle_invariants,
     min_index,
+    minimal_classes,
     signature_for_field,
 )
 from stacky.permgrp import closure, from_cycles
@@ -76,16 +78,26 @@ def test_group_preset_forms():
         group_preset("cyclic_regular:31")
 
 
+def _entry_points(G):
+    """Each invariant's entry point, as a call on G with the signature of Q."""
+    sig = cyclotomic_image(2)
+    return (lambda: a_invariant(G), lambda: min_index(G), lambda: minimal_classes(G),
+            lambda: b_invariant(G, sig), lambda: malle_invariants(G, sig))
+
+
 def test_invariants_require_transitivity():
-    G = closure([from_cycles([(1, 2)], 4)])
-    with pytest.raises(ValueError):
-        a_invariant(G)
+    for degree in (3, 4):
+        G = closure([from_cycles([(1, 2)], degree)])
+        for call in _entry_points(G):
+            with pytest.raises(ValueError, match="group must act transitively"):
+                call()
 
 
 def test_invariants_reject_trivial_group():
     G = closure([from_cycles([], 1)])
-    with pytest.raises(ValueError):
-        a_invariant(G)
+    for call in _entry_points(G):
+        with pytest.raises(ValueError, match="trivial group"):
+            call()
 
 
 def test_signature_for_field_reads_field_strings():

@@ -1,8 +1,8 @@
-"""Digest what the census counters and the Bmu_n enumerator return, so that
-two checkouts can be compared entry by entry.  A correctness check, not a
-benchmark: nothing is timed.
+"""Digest what the census counters, the Bmu_n enumerator and the Kummer
+queries return, so that two checkouts can be compared entry by entry.  A
+correctness check, not a benchmark: nothing is timed.
 
-Three kinds of entries:
+The census section has three kinds of entries:
 
 - ``count()`` for every ``FAST_COUNTERS`` key, on the ladders b0 * 2^i of
   ``LADDERS``: the counts, or the exception's type and message;
@@ -12,7 +12,15 @@ Three kinds of entries:
 - ``enumerate_cyclic(n, B)`` for n = 2..12 at the bounds of
   ``CYCLIC_BOUNDS``: the sorted (conductor, character, |disc|) triples.
 
-It prints one sha256 digest over every entry; ``--dump`` prints the entries
+The kummer section takes seeded a of 8, 20, 40 and 62 bits, products of two
+31-bit primes and powers of 6-bit numbers, each of either sign.  Its
+entries are ``factor(a)`` and, for n = 2..12 without and with a seeded
+denominator of either sign, the canonical class, ``is_irreducible``, and in
+every mode the class admits (exact for n in {2, 3}, else tame and
+interval) the discriminant's JSON, the eszb and darda heights and ``edd``,
+and ``D_aprime`` at a' = ``a_eszb_closed(n)``.
+
+It prints one sha256 digest per section; ``--dump`` prints the entries
 themselves first, one per line, so that two dumps can be compared with
 ``diff``.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
 """
@@ -20,14 +28,20 @@ themselves first, one per line, so that two dumps can be compared with
 import argparse
 import hashlib
 import pathlib
+import random
 import sys
+
+import sympy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from stacky.arith import factor  # noqa: E402
 from stacky.census import (FAST_COUNTERS, ORDERINGS, LadderSpec, count,  # noqa: E402
                            enumerate_cyclic, enumerate_mu)
-from stacky.heights import darda_denominator  # noqa: E402
-from stacky.kummer import EXACT_WILD_DEGREES  # noqa: E402
+from stacky.heights import (D_aprime, a_eszb_closed, darda_denominator,  # noqa: E402
+                            darda_global, edd, eszb_height)
+from stacky.kummer import (EXACT_WILD_DEGREES, canonical, discriminant,  # noqa: E402
+                           is_irreducible)
 
 # (b0, doublings): the top rungs are 1.1e12, 7.8e9 and 1.7e13
 LADDERS = ((1e3, 30), (7.3, 30), (1e6, 24))
@@ -38,8 +52,15 @@ ENUM_CAPS = {2: 3 * 10**4, 3: 10**6, 4: 10**7, 5: 10**9, 6: 10**9}
 CYCLIC_BOUNDS = {2: 5e4, 3: 1e8, 4: 1e8, 5: 1e15, 6: 1e8, 7: 1e16, 8: 1e13, 9: 1e16,
                  10: 1e14, 11: 1e19, 12: 2e14}
 
+# Kummer queries: KUMMER_DRAWS seeded a per bit band, KUMMER_SEMIPRIMES
+# products of two 31-bit primes and the k-th powers of a 6-bit number for
+# k = 2..12, against n = 2..12
+KUMMER_BANDS = (8, 20, 40, 62)
+KUMMER_DRAWS = 12
+KUMMER_SEMIPRIMES = 4
 
-def entries():
+
+def census_entries():
     for key in sorted(FAST_COUNTERS):
         kind, n, counter, ordering = key
         for b0, doublings in LADDERS:
@@ -61,17 +82,49 @@ def entries():
         yield f"enumerate_cyclic {n} {B!r}", fields
 
 
+def _height(h):
+    """A height as JSON, or the (lo, hi) pair of an interval mode."""
+    return [x.to_json() for x in h] if isinstance(h, tuple) else h.to_json()
+
+
+def kummer_entries():
+    rng = random.Random("diff_outputs:kummer")
+    values = [rng.getrandbits(bits) | 1 << (bits - 1)
+              for bits in KUMMER_BANDS for _ in range(KUMMER_DRAWS)]
+    values += [sympy.nextprime(rng.getrandbits(31) | 1 << 30)
+               * sympy.nextprime(rng.getrandbits(31) | 1 << 30) for _ in range(KUMMER_SEMIPRIMES)]
+    values += [(rng.getrandbits(6) | 1 << 5) ** k for k in range(2, 13)]
+    for a in (v * rng.choice((1, -1)) for v in values):
+        fa = factor(a)
+        yield f"factor {a}", str(fa)
+        for n in range(2, 13):
+            # an int a without a denominator, the factored a with one
+            for num, den in ((a, None), (fa, rng.choice((1, -1)) * rng.randint(2, 2**16))):
+                cls = canonical(num, n, den)
+                out = [str(cls.a), is_irreducible(cls)]
+                exact = n in EXACT_WILD_DEGREES
+                for mode in ("exact",) if exact else ("tame", "interval"):
+                    out += [discriminant(cls, mode).to_json(), _height(eszb_height(cls, mode)),
+                            _height(darda_global(cls, mode)), edd(cls, mode)]
+                out.append(D_aprime(cls, float(a_eszb_closed(n)), "exact" if exact else "tame"))
+                yield f"kummer a={a} n={n} den={den}", out
+
+
+SECTIONS = {"census": census_entries, "kummer": kummer_entries}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", action="store_true", help="print every entry before the digest")
     args = parser.parse_args()
-    digest = hashlib.sha256()
-    for name, value in entries():
-        line = f"{name}: {value}"
-        digest.update(line.encode() + b"\n")
-        if args.dump:
-            print(line, flush=True)
-    print(f"sha256 {digest.hexdigest()}")
+    for section, section_entries in SECTIONS.items():
+        digest = hashlib.sha256()
+        for name, value in section_entries():
+            line = f"{name}: {value}"
+            digest.update(line.encode() + b"\n")
+            if args.dump:
+                print(line, flush=True)
+        print(f"{section} sha256 {digest.hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
