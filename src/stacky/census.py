@@ -76,17 +76,18 @@ class CountLadder:
     @classmethod
     def from_csv(cls, path: str, target: str = "?", counter: str = "?",
                  ordering: str = "?") -> "CountLadder":
-        points = []
+        points = [(0.0, 0)]  # a floor: the first B must be positive
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
             header = next(rd, [])  # [] for an empty file
             if header[:2] != ["B", "count"]:
                 raise ValueError("expected CSV header B,count")
             for row in rd:
-                if len(row) < 2 or points and float(row[0]) <= points[-1][0]:
+                # B positive, finite and rising, count >= 0; a NaN B fails every comparison
+                if len(row) < 2 or not points[-1][0] < float(row[0]) < math.inf or int(row[1]) < 0:
                     raise ValueError(f"line {rd.line_num}: expected B,count, B rising, got {row}")
                 points.append((float(row[0]), int(row[1])))
-        return cls(target, counter, ordering, tuple(points))
+        return cls(target, counter, ordering, tuple(points[1:]))
 
 
 @dataclass(frozen=True)
@@ -617,7 +618,8 @@ def count(spec: LadderSpec) -> CountLadder:
     the local-type counter ``_count_types``.  The M counter of a mu target
     whose T key is in the table streams ``enumerate_mu`` through the
     irreducibility test, optionally split over ``jobs`` deterministic
-    partitions.  Every other key raises ValueError before anything is
+    partitions.  Every other key, a negative ``doublings`` and a ``b0`` that
+    is not positive and finite raise ValueError before anything is
     enumerated.  A fast ladder past the counter's int64 range streams its
     enumerator; one whose tables would not fit in physical memory raises
     ValueError.
@@ -625,6 +627,8 @@ def count(spec: LadderSpec) -> CountLadder:
     kind, n = spec.target
     if spec.doublings < 0:
         raise ValueError(f"doublings must be >= 0, got {spec.doublings}")
+    if not 0 < spec.b0 < math.inf:
+        raise ValueError(f"b0 must be positive and finite, got {spec.b0}")
     fast = FAST_COUNTERS.get((kind, n, spec.counter, spec.ordering))
     streamed = (kind == "mu" and spec.counter == "M"
                 and ("mu", n, "T", spec.ordering) in FAST_COUNTERS)

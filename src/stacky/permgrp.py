@@ -5,9 +5,9 @@ group keeps all its elements, as a (|G|, n) array of small-int images.
 
 * ``closure`` multiplies breadth-first, one frontier at a time: a single
   fancy-indexing step forms every product of the frontier with the
-  generators.  Each row of images packs into a sortable key, and a sorted
-  key array finds the new elements.  Products of valid permutations are
-  not checked again.
+  generators.  Each row of images packs into one key, and a set of the
+  keys seen so far keeps each product the first time it appears.
+  Products of valid permutations are not checked again.
 * Conjugation by a generator permutes the element positions.  The
   conjugacy classes are the orbits of these permutations, found by a
   vectorised union-find.
@@ -287,17 +287,15 @@ def closure(generators: list[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
     gens0 = gens0.reshape(len(generators), degree) - 1
     frontier = np.arange(degree, dtype=np.min_scalar_type(degree)).reshape(1, degree)
     blocks = [frontier]
-    seen = _row_keys(frontier)  # sorted keys of every element found so far
+    seen = set(_row_keys(frontier).tolist())  # keys of every element found so far
     while len(frontier):
         # row k * len(generators) + j holds frontier[k] * generators[j]
         prods = frontier[:, gens0].reshape(len(frontier) * len(gens0), degree)
-        keys, first = np.unique(_row_keys(prods), return_index=True)
-        new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
-        # a stable sort merges the two sorted runs in linear time
-        seen = np.sort(np.concatenate([seen, keys[new]]), kind="stable")
+        # the rows whose key appears for the first time, in product order
+        new = [i for i, k in enumerate(_row_keys(prods).tolist()) if k not in seen and not seen.add(k)]
         if len(seen) > cap:
             raise ValueError(f"group exceeds element cap {cap}")
-        frontier = prods[np.sort(first[new])]
+        frontier = prods[new]
         blocks.append(frontier)
     rows = np.concatenate(blocks)
     rows.flags.writeable = False  # the cached lookup and classes depend on it

@@ -336,6 +336,20 @@ def test_count_cyclic_refuses_tables_past_physical_memory(small_memory):
         count(LadderSpec(("cyclic", 3), "M", "disc_exact", b0=1e12, doublings=0))
 
 
+@pytest.mark.parametrize("target,counter,ordering", [
+    (("mu", 2), "T", "disc_exact"),
+    (("mu", 4), "T", "disc_tame"),
+    (("cyclic", 3), "M", "disc_exact"),
+    (("mu", 3), "T", "darda"),
+    (("mu", 6), "M", "disc_tame"),
+])
+@pytest.mark.parametrize("b0", [0.0, -5.0, math.nan, math.inf])
+def test_count_rejects_b0_not_positive_and_finite(target, counter, ordering, b0):
+    # a bad b0 is named here, not failed deep inside a counter or counted as falling rungs
+    with pytest.raises(ValueError, match="b0"):
+        count(LadderSpec(target, counter, ordering, b0=b0, doublings=2))
+
+
 def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
     # prime caps past the sieve's 2^31: 7.5e11 for mu_3 darda at 8192
     # (|disc| <= 8192^6), and 1e10 for quadratic fields to 1e10

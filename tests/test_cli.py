@@ -226,6 +226,26 @@ def test_fit_short_csv_row_exits_1(capsys, tmp_path, text, line):
     assert err.startswith("error:") and f"line {line}" in err and not out
 
 
+@pytest.mark.parametrize("text,line", [
+    pytest.param("B,count\nnan,5\n" + "".join(f"{2.0**i},{i}\n" for i in range(1, 10)), 2,
+                 id="nan-first"),
+    pytest.param("B,count\n" + "".join(f"{2.0**i},{i}\n" if i != 8 else "nan,8\n"
+                                        for i in range(1, 12)), 9, id="nan-in-window"),
+    pytest.param("B,count\n1.0,1\ninf,2\n", 3, id="inf"),
+    pytest.param("B,count\n0.0,1\n1.0,2\n", 2, id="zero"),
+    pytest.param("B,count\n-2.0,1\n1.0,2\n", 2, id="negative-B"),
+    pytest.param("B,count\n1.0,1\n2.0,-2\n", 3, id="negative-count"),
+])
+def test_fit_bad_b_or_count_exits_1(capsys, tmp_path, text, line):
+    # NaN compares false with everything, so a rising-B test alone lets it
+    # through: as the first row it fitted, inside the window LAPACK failed
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert err.startswith("error:") and f"line {line}" in err and not out
+
+
 @pytest.mark.parametrize("argv,name", [
     (["fit", "--in", "{tmp}/missing.csv"], "missing.csv"),
     (["--config", "{tmp}/missing.cfg", "kummer", "disc", "--n", "2", "--a", "3"], "missing.cfg"),

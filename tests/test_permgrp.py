@@ -153,6 +153,11 @@ def test_closure_orders():
 def test_closure_cap():
     with pytest.raises(ValueError):
         closure(parse_group_spec("(1 2); (1 2 3 4 5 6 7 8)"), cap=100)
+    # the cap bounds the order itself: |G| elements pass, one fewer raises
+    for spec, order in (("(1 2); (1 2 3 4)", 24), (DIHEDRAL_20, 40)):
+        assert closure(parse_group_spec(spec), cap=order).order == order
+        with pytest.raises(ValueError, match="cap"):
+            closure(parse_group_spec(spec), cap=order - 1)
 
 
 def test_index():
@@ -253,9 +258,23 @@ def test_conjugacy_classes_match_brute_oracle():
         _assert_matches_oracle(gens, label)
 
 
+@st.composite
+def small_groups(draw):
+    """Generator images of degree n <= 6, or the same generators moving the
+    points offset+1..offset+n of a degree 17-24 group (byte keys) and fixing
+    every other point."""
+    n = draw(st.integers(1, 6))
+    images = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        degree = draw(st.integers(17, 24))
+        offset = draw(st.integers(0, degree - n))
+        images = [(*range(1, offset + 1), *(i + offset for i in im),
+                   *range(offset + n + 1, degree + 1)) for im in images]
+    return images
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.permutations(range(1, n + 1)), min_size=1, max_size=3)))
+@given(small_groups())
 def test_random_groups_match_brute_oracle(images):
     gens = [Permutation(tuple(im)) for im in images]
     _assert_matches_oracle(gens, images)

@@ -20,6 +20,12 @@ every mode the class admits (exact for n in {2, 3}, else tame and
 interval) the discriminant's JSON, the eszb and darda heights and ``edd``,
 and ``D_aprime`` at a' = ``a_eszb_closed(n)``.
 
+The permgrp section closes every group preset (cyclic_regular:2..30,
+symmetric:2..8, kluners_c3wrc2) and the dihedral groups of degree 20 and
+101, given in cycle notation.  Its entries are the closure rows, the class
+list (index, representative images, member positions), the exponent and
+``malle_invariants`` over Q, Q(zeta_3) and Q(zeta_4).
+
 It prints one sha256 digest per section; ``--dump`` prints the entries
 themselves first, one per line, so that two dumps can be compared with
 ``diff``.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
@@ -42,6 +48,8 @@ from stacky.heights import (D_aprime, a_eszb_closed, darda_denominator,  # noqa:
                             darda_global, edd, eszb_height)
 from stacky.kummer import (EXACT_WILD_DEGREES, canonical, discriminant,  # noqa: E402
                            is_irreducible)
+from stacky.malle import group_preset, malle_invariants, signature_for_field  # noqa: E402
+from stacky.permgrp import closure, conjugacy_classes, parse_group_spec  # noqa: E402
 
 # (b0, doublings): the top rungs are 1.1e12, 7.8e9 and 1.7e13
 LADDERS = ((1e3, 30), (7.3, 30), (1e6, 24))
@@ -58,6 +66,12 @@ CYCLIC_BOUNDS = {2: 5e4, 3: 1e8, 4: 1e8, 5: 1e15, 6: 1e8, 7: 1e16, 8: 1e13, 9: 1
 KUMMER_BANDS = (8, 20, 40, 62)
 KUMMER_DRAWS = 12
 KUMMER_SEMIPRIMES = 4
+
+# permgrp: every preset, and dihedral groups past the 16-point packed keys
+GROUP_PRESETS = ([f"cyclic_regular:{n}" for n in range(2, 31)]
+                 + [f"symmetric:{n}" for n in range(2, 9)] + ["kluners_c3wrc2"])
+DIHEDRAL_DEGREES = (20, 101)
+MALLE_FIELDS = ("Q", ("zeta", 3), ("zeta", 4))
 
 
 def census_entries():
@@ -110,7 +124,27 @@ def kummer_entries():
                 yield f"kummer a={a} n={n} den={den}", out
 
 
-SECTIONS = {"census": census_entries, "kummer": kummer_entries}
+def _dihedral(n):
+    """The dihedral group of degree n: the n-cycle and the reflection fixing 1."""
+    rotation = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+    reflection = "".join(f"({i} {n + 2 - i})" for i in range(2, (n + 1) // 2 + 1))
+    return f"{rotation}; {reflection}"
+
+
+def permgrp_entries():
+    groups = [(name, group_preset(name)) for name in GROUP_PRESETS]
+    groups += [(f"dihedral:{n}", parse_group_spec(_dihedral(n))) for n in DIHEDRAL_DEGREES]
+    for name, gens in groups:
+        G = closure(gens)
+        yield f"closure {name}", G.rows.tolist()
+        yield f"classes {name}", [(c.index, c.representative.images, c.members)
+                                  for c in conjugacy_classes(G)]
+        yield f"exponent {name}", G.exponent
+        for field in MALLE_FIELDS:
+            yield f"malle {name} {field}", malle_invariants(G, signature_for_field(G, field))
+
+
+SECTIONS = {"census": census_entries, "kummer": kummer_entries, "permgrp": permgrp_entries}
 
 
 def main() -> None:
