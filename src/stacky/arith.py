@@ -3,9 +3,9 @@ unit groups, and cyclotomic signatures.
 
 Everything here works on plain Python integers and :class:`FactoredInteger`
 values; all functions are pure and safe to call concurrently.  The caches,
-the trial-division primes, the SQUFOF multiplier table and the primes of
-each exponent n, are read-only and built on first use, never at import;
-two threads that race to build one build the same value.
+the trial-division and screen primes, the SQUFOF multiplier table and the
+primes of each exponent n, are read-only and built on first use, never at
+import; two threads that race to build one build the same value.
 """
 
 from __future__ import annotations
@@ -34,10 +34,13 @@ __all__ = [
     "sieve",
 ]
 
-# Trial division stops here: a cofactor left composite has only prime
-# factors above 2**10, so it is a perfect power only to exponents up to
-# bits/10, and rho and SQUFOF split the rest.
+# Python trial division stops here, with an early exit once p^2 exceeds
+# the cofactor; a cofactor of 2**20 or more is then screened in numpy by
+# every prime up to _SCREEN_BOUND.  What is left has only primes above
+# 2**16, so below 2**32 it is prime; the root check, SQUFOF and rho split
+# a larger composite one.
 TRIAL_DIVISION_BOUND = 2**10
+_SCREEN_BOUND = 2**16
 
 # The first 13 primes as Miller-Rabin witnesses, and psi_t, the least odd
 # composite that passes the first t of them (OEIS A014233; Sorenson and
@@ -50,9 +53,10 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 
 # Every SQUFOF quantity for kN is an integer below 2*sqrt(kN), and the
-# floor of a float quotient a/Q is exact while a + Q <= 2**53.  So the race
-# runs in float64 lanes when kN <= 2**102, and its multipliers k < 2**11
-# admit every cofactor of at most 91 bits.
+# floor of a float quotient a/Q is exact while a + Q <= 2**53.  So a lane
+# runs in float64 when kN < 2**102, which holds for every multiplier
+# k < 2**12 on a cofactor of at most 90 bits, and for the 1,245 below 2**11
+# on one of 91.
 _RACE_BITS = 91
 
 
@@ -160,8 +164,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, max_window: float = math.inf) -> int | None:
-    """A nontrivial factor of composite odd n, Brent's variant (Brent 1980).
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of composite n, Brent's variant (Brent 1980).
 
     y walks x -> x^2 + c mod n; x is parked at the start of each window,
     and windows double in length.  The products of (x - y) mod n are
@@ -169,8 +173,7 @@ def _pollard_rho(n: int, max_window: float = math.inf) -> int | None:
     When a batch's gcd comes out as n, the batch is replayed from its start
     one step and one gcd at a time.  Deterministic: cycles through fixed
     offsets c until a factor splits off, which always happens for
-    composite n.  With a finite ``max_window`` it gives up, returning
-    None, before it opens a window longer than that.
+    composite n.
     """
     if n % 2 == 0:
         return 2
@@ -178,8 +181,6 @@ def _pollard_rho(n: int, max_window: float = math.inf) -> int | None:
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if r > max_window:
-                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -205,8 +206,9 @@ def _pollard_rho(n: int, max_window: float = math.inf) -> int | None:
 
 @functools.cache
 def _multipliers() -> np.ndarray:
-    """The 1024 least squarefree k, all below 2**11: one per SQUFOF lane."""
-    k = np.flatnonzero(sieve(2**11)[1])[:1024].astype(np.uint64)
+    """The 2048 least squarefree k, all below 2**12 (the largest is 3363):
+    one per SQUFOF lane."""
+    k = np.flatnonzero(sieve(2**12)[1])[:2048].astype(np.uint64)
     k.flags.writeable = False
     return k
 
@@ -220,13 +222,15 @@ def _squfof_race(n: int) -> int | None:
     every even step for a square r^2; the reverse walk from that square
     splits n or, when the square was improper, retires the lane.  Its
     waiting time is close to memoryless, so K lanes need about 1/K of one
-    lane's steps.  The lane count grows as 2**(bits/4 - 3), and the race
+    lane's steps.  The lane count grows as 2**(bits/4 - 3), from 64 to
+    2048, less the k with kN >= 2**102 (a 91-bit n keeps 1,245); the race
     gives up after 32 * 2**(bits/4) steps over all lanes, or once every
     lane is retired, as on prime cubes.
     """
     bits = n.bit_length()
-    lanes = 1 << min(10, max(6, bits // 4 - 3))
-    k = _multipliers()[:lanes]
+    k = _multipliers()[:1 << min(11, max(6, bits // 4 - 3))]
+    k = k[k * float(n) < 2**102]  # rounding keeps every kN past 2**102 out
+    lanes = len(k)
     # P0 = isqrt(kN): the float root is within one of it, and kN - x^2,
     # below 2**53 in absolute value, is exact mod 2**64
     x = np.floor(np.sqrt(k * float(n))).astype(np.uint64)
@@ -285,26 +289,40 @@ def _squfof_reverse(n: int, kn: int, p: int, r: int) -> int | None:
         p, q_prev, q = p_next, q, q_prev + b * (p - p_next)
 
 
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1 and e >= 2.  The float estimate comes from
+    math.log, which takes integers past the float range; scaled up by
+    1 + 2**-30, it lies above the root, and integer Newton steps then fall to
+    it exactly."""
+    if e == 2:
+        return math.isqrt(n)
+    x = int(math.exp(math.log(n) / e) * (1 + 2**-30)) + 1
+    while (y := ((e - 1) * x + n // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
 def _split(n: int) -> int:
     """A proper divisor of a composite n whose primes all exceed
-    TRIAL_DIVISION_BOUND: a root of a perfect power, else a factor from
-    rho with windows up to 128 (about 500 steps, which find most primes
-    below 2**16), else from the SQUFOF race, else from unbounded rho, which
-    always ends.  Cofactors past the race's range go straight to rho."""
+    TRIAL_DIVISION_BOUND, so that it is a perfect power only to exponents up
+    to bits/10: an exact root when it is one, at every size; else a factor
+    from the SQUFOF race, for n of at most _RACE_BITS bits; else from rho,
+    which always ends."""
     bits = n.bit_length()
-    if bits > _RACE_BITS:
-        return _pollard_rho(n)
     for e in range(2, bits // 10 + 1):
-        r = math.isqrt(n) if e == 2 else round(n ** (1 / e))
+        r = _iroot(n, e)
         if r**e == n:
             return r
-    return _pollard_rho(n, 128) or _squfof_race(n) or _pollard_rho(n)
+    return (bits <= _RACE_BITS and _squfof_race(n)) or _pollard_rho(n)
 
 
 def _factor_into(n: int, exps: dict[int, int]) -> None:
+    """Add the primes of a cofactor n with no prime up to _SCREEN_BOUND to
+    exps: below _SCREEN_BOUND**2 that makes n prime, and a larger prime is
+    certified by Miller-Rabin."""
     if n == 1:
         return
-    if is_prime(n):
+    if n < _SCREEN_BOUND**2 or is_prime(n):
         exps[n] = exps.get(n, 0) + 1
         return
     d = _split(n)
@@ -317,13 +335,16 @@ def factor(m: int) -> FactoredInteger:
 
     Trial division by the primes up to TRIAL_DIVISION_BOUND (2**10), which
     ``primes_up_to`` sieves once, on the first call; it stops early once
-    p^2 exceeds the cofactor.  A cofactor left composite has only prime
-    factors above 2**10.  It is split by an exact root when it is a perfect
-    power; else by Brent-Pollard rho (one gcd per 128 steps) for about 500
-    steps, which finds most primes below 2**16; else by SQUFOF racing up to
-    1024 multipliers in numpy, whose median is about 2 N^(1/4) steps over
-    all lanes; else by rho without a bound.  Every factor is certified by
-    deterministic Miller-Rabin.
+    p^2 exceeds the cofactor, which is then 1 or prime.  A cofactor of
+    2**20 or more is screened by the 6,370 primes in (2**10, 2**16] at
+    once, in numpy, at a fixed cost of about 30 us below 2**63, and each
+    prime that divides it is divided out.  What is left has only primes
+    above 2**16, so below 2**32 it is prime.  A composite one is split by
+    an exact root when it is a perfect power; else, up to 91 bits, by
+    SQUFOF racing up to 2048 multipliers in numpy, whose median is about
+    2 N^(1/4) steps over all lanes; else by Brent-Pollard rho (one gcd per
+    128 steps).
+    Every factor above 2**32 is certified by deterministic Miller-Rabin.
     """
     if m == 0:
         raise ValueError("cannot factor zero")
@@ -336,15 +357,47 @@ def factor(m: int) -> FactoredInteger:
         while n % p == 0:
             n //= p
             exps[p] = exps.get(p, 0) + 1
+    if n >= TRIAL_DIVISION_BOUND**2:
+        n = _screen(n, exps)
     if n > 1:
         _factor_into(n, exps)
     return FactoredInteger(sign, tuple(sorted(exps.items())))
+
+
+def _screen(n: int, exps: dict[int, int]) -> int:
+    """Divide every prime in (TRIAL_DIVISION_BOUND, _SCREEN_BOUND] out of n,
+    adding it to exps, and return the cofactor.  The residues of n mod all
+    of them come from one numpy remainder below 2**63; from 2**63 up, from
+    folding n's 32-bit limbs, most significant first, into them, where
+    every value stays below 2**48."""
+    mid = _screen_primes()
+    if n < 2**63:
+        r = np.int64(n) % mid
+    else:
+        r = np.zeros_like(mid)
+        for shift in range((n.bit_length() - 1) // 32 * 32, -1, -32):
+            r = ((r << 32) | (n >> shift & 0xFFFFFFFF)) % mid
+    for p in mid[r == 0].tolist():
+        while n % p == 0:
+            n //= p
+            exps[p] = exps.get(p, 0) + 1
+    return n
 
 
 @functools.cache
 def _trial_primes() -> tuple[int, ...]:
     """The primes up to TRIAL_DIVISION_BOUND, sieved on the first call."""
     return tuple(primes_up_to(TRIAL_DIVISION_BOUND))
+
+
+@functools.cache
+def _screen_primes() -> np.ndarray:
+    """The primes in (TRIAL_DIVISION_BOUND, _SCREEN_BOUND] as int64, sieved
+    on the first call."""
+    primes = np.array(primes_up_to(_SCREEN_BOUND), dtype=np.int64)
+    primes = primes[primes > TRIAL_DIVISION_BOUND]
+    primes.flags.writeable = False
+    return primes
 
 
 @functools.cache

@@ -32,7 +32,6 @@ import itertools
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from typing import Iterable, Iterator, NamedTuple
@@ -84,9 +83,13 @@ class CountLadder:
                 raise ValueError("expected CSV header B,count")
             for row in rd:
                 # B positive, finite and rising, count >= 0; a NaN B fails every comparison
-                if len(row) < 2 or not points[-1][0] < float(row[0]) < math.inf or int(row[1]) < 0:
+                try:
+                    b, c = float(row[0]), int(row[1])
+                except (IndexError, ValueError):
+                    b = c = math.nan
+                if not (points[-1][0] < b < math.inf and c >= 0):
                     raise ValueError(f"line {rd.line_num}: expected B,count, B rising, got {row}")
-                points.append((float(row[0]), int(row[1])))
+                points.append((b, c))
         return cls(target, counter, ordering, tuple(points[1:]))
 
 
@@ -651,7 +654,11 @@ def _count_mu_streaming(spec: LadderSpec, rungs: list[float]) -> list[int]:
     if nparts == 1:
         parts = [_mu_partition_counts(tasks[0])]
     else:
-        # fork starts every worker at once: no more of them than cores
+        # imported here, as only this path needs its multiprocessing and
+        # socket modules; fork starts every worker at once: no more of them
+        # than cores
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(nparts, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_mu_partition_counts, tasks))
     return [sum(c) for c in zip(*parts)]

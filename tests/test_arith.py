@@ -86,6 +86,13 @@ def test_factor_property(prime_powers, sign):
     PSI_12,                                       # 399165290221 * 798330580441
     65537**3, sympy.nextprime(2**21) ** 3,        # prime powers past the trial bound
     sympy.nextprime(2**21) ** 2 * 1000003, 1031**2 * (2**31 - 1), 65537**2 * 65539**2,
+    1031 * 1033,                                  # just past the screen's 2**20 threshold
+    65521**2, 65521**3, 65521 * 1031 * (2**61 - 1),  # the largest prime the screen takes
+    65521 * sympy.nextprime(2**70),               # screened primes past 2**63: the limb fold
+    1031**2 * sympy.nextprime(2**100),
+    sympy.prevprime(2**45) * sympy.prevprime(2**46),  # 91 bits: 1,245 capped lanes
+    (2**61 - 1) ** 2, (2**61 - 1) ** 3 * 65537,  # perfect powers past the race's range:
+    (2**89 - 1) ** 2,                             # the root check takes them, not rho
 ])
 def test_factor_edge_cases(m):
     f = factor(m)
@@ -109,14 +116,17 @@ def _random_prime(rng, bits):
 
 
 @pytest.mark.parametrize("bits", [31, 32])
-def test_factor_semiprimes(bits):
+def test_factor_semiprimes(bits, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"{n} reached rho")
+
+    # the race itself splits them: rho is never reached
+    monkeypatch.setattr(arith, "_pollard_rho", refuse)
     rng = random.Random(SEED + bits)
     for _ in range(6):
         # sympy.nextprime certifies p and q, so p * q factors as built
         p, q = _random_prime(rng, bits), _random_prime(rng, bits)
         assert factor(p * q).factors == tuple(sorted({p: 1, q: 1}.items()))
-        # bounded rho gives up on them, and the race itself splits them
-        assert _pollard_rho(p * q, 128) is None
         assert _squfof_race(p * q) in (p, q)
 
 
@@ -152,6 +162,20 @@ def test_squfof_race_when_kn_is_a_square():
 def test_factor_products_of_large_primes(primes):
     m = math.prod(primes)
     assert factor(m).factors == tuple(sorted(sympy.factorint(m).items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1032, 2**16).map(sympy.prevprime), min_size=1, max_size=4),
+       st.integers(0, 2**200))
+def test_screen_divides_out_every_mid_prime(mid_primes, rest):
+    # below and past 2**63, where the residues come from the limb fold:
+    # factor calls a cofactor below 2**32 prime because none of these is left
+    m = math.prod(mid_primes) * (rest | 1)
+    exps = {}
+    cofactor = arith._screen(m, exps)
+    mid = {p: e for p, e in sympy.factorint(m, limit=2**16).items() if 2**10 < p <= 2**16}
+    assert exps == mid
+    assert cofactor * math.prod(p**e for p, e in mid.items()) == m
 
 
 def test_factor_rejects_zero():

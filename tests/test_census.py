@@ -1,4 +1,5 @@
 import bisect
+import concurrent.futures
 import math
 import os
 import random
@@ -616,7 +617,7 @@ def test_count_caps_worker_processes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert STREAMED not in FAST_COUNTERS
     spec = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=64)
     assert count(spec).points == count(replace(spec, jobs=1)).points
@@ -635,7 +636,9 @@ def test_ladder_csv_rejects_b_not_rising(tmp_path):
     # fit reads the top half of the rows: a B column out of order would fit
     # the wrong ones
     path = tmp_path / "bad.csv"
-    for text, line in (("B,count\n2000.0,9\n1000.0,5\n", 3), ("B,count\n1.0,1\n1.0,1\n", 3)):
+    for text, line in (("B,count\n2000.0,9\n1000.0,5\n", 3), ("B,count\n1.0,1\n1.0,1\n", 3),
+                       # a B or a count that does not parse names its line too
+                       ("B,count\n1.0,1\nabc,5\n", 3), ("B,count\n1.0,1\n2.0,1.5\n", 3)):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {line}"):
             CountLadder.from_csv(str(path))

@@ -41,6 +41,20 @@ import stacky, stacky.cli
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_out_process_pools():
+    # only a streamed ladder with jobs > 1 needs concurrent.futures, and with
+    # it multiprocessing and socket: importing the package and the CLI loads none
+    code = """
+import sys
+import stacky, stacky.cli
+assert "concurrent.futures" not in sys.modules, "concurrent.futures imported"
+"""
+    src = str(pathlib.Path(stacky.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_malle_a(capsys):
     code, out, _ = run(capsys, "malle", "a", "--group", "preset:cyclic_regular:6")
     assert code == 0

@@ -20,6 +20,11 @@ every mode the class admits (exact for n in {2, 3}, else tame and
 interval) the discriminant's JSON, the eszb and darda heights and ``edd``,
 and ``D_aprime`` at a' = ``a_eszb_closed(n)``.
 
+The factor section takes seeded products of sympy primes: of about 70,
+91 and 140 bits, the last with factors of 20 and 30 bits that rho splits
+off; primes in (2^10, 2^16] times primes past 2^63; and powers of 16-bit
+and 31-bit primes up to 91 bits.  Its entries are ``factor(m)``.
+
 The permgrp section closes every group preset (cyclic_regular:2..30,
 symmetric:2..8, kluners_c3wrc2) and the dihedral groups of degree 20 and
 101, given in cycle notation.  Its entries are the closure rows, the class
@@ -67,6 +72,9 @@ KUMMER_BANDS = (8, 20, 40, 62)
 KUMMER_DRAWS = 12
 KUMMER_SEMIPRIMES = 4
 
+# factor: FACTOR_DRAWS seeded m of each kind
+FACTOR_DRAWS = 12
+
 # permgrp: every preset, and dihedral groups past the 16-point packed keys
 GROUP_PRESETS = ([f"cyclic_regular:{n}" for n in range(2, 31)]
                  + [f"symmetric:{n}" for n in range(2, 9)] + ["kluners_c3wrc2"])
@@ -101,12 +109,15 @@ def _height(h):
     return [x.to_json() for x in h] if isinstance(h, tuple) else h.to_json()
 
 
+def _prime(rng, bits):
+    return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+
 def kummer_entries():
     rng = random.Random("diff_outputs:kummer")
     values = [rng.getrandbits(bits) | 1 << (bits - 1)
               for bits in KUMMER_BANDS for _ in range(KUMMER_DRAWS)]
-    values += [sympy.nextprime(rng.getrandbits(31) | 1 << 30)
-               * sympy.nextprime(rng.getrandbits(31) | 1 << 30) for _ in range(KUMMER_SEMIPRIMES)]
+    values += [_prime(rng, 31) * _prime(rng, 31) for _ in range(KUMMER_SEMIPRIMES)]
     values += [(rng.getrandbits(6) | 1 << 5) ** k for k in range(2, 13)]
     for a in (v * rng.choice((1, -1)) for v in values):
         fa = factor(a)
@@ -122,6 +133,18 @@ def kummer_entries():
                             _height(darda_global(cls, mode)), edd(cls, mode)]
                 out.append(D_aprime(cls, float(a_eszb_closed(n)), "exact" if exact else "tame"))
                 yield f"kummer a={a} n={n} den={den}", out
+
+
+def factor_entries():
+    rng = random.Random("diff_outputs:factor")
+    values = []
+    for _ in range(FACTOR_DRAWS):
+        values += [_prime(rng, 35) * _prime(rng, 35), _prime(rng, 45) * _prime(rng, 46),
+                   _prime(rng, 20) * _prime(rng, 30) * _prime(rng, 90),
+                   _prime(rng, 16) * _prime(rng, 12) * _prime(rng, rng.randint(64, 100)),
+                   _prime(rng, 16) ** rng.randint(2, 5), _prime(rng, 31) ** 2 * _prime(rng, 16)]
+    for m in values:
+        yield f"factor {m}", str(factor(m))
 
 
 def _dihedral(n):
@@ -144,7 +167,8 @@ def permgrp_entries():
             yield f"malle {name} {field}", malle_invariants(G, signature_for_field(G, field))
 
 
-SECTIONS = {"census": census_entries, "kummer": kummer_entries, "permgrp": permgrp_entries}
+SECTIONS = {"census": census_entries, "kummer": kummer_entries, "permgrp": permgrp_entries,
+            "factor": factor_entries}
 
 
 def main() -> None:
