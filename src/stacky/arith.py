@@ -59,6 +59,12 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 # on one of 91.
 _RACE_BITS = 91
 
+# Brent rho's step budget over all its offsets c.  It needs a few sqrt(p)
+# steps for its least prime p (about 2**15 for a 30-bit one), so 2**20
+# split 10 of 10 seeded cofactors with a 36-bit prime and 7 of 10 with a
+# 38-bit one, and gives up in well under a second.
+_RHO_STEPS = 2**20
+
 
 @dataclass(frozen=True)
 class FactoredInteger:
@@ -172,15 +178,19 @@ def _pollard_rho(n: int) -> int:
     accumulated over batches of m = 128 steps with one gcd per batch.
     When a batch's gcd comes out as n, the batch is replayed from its start
     one step and one gcd at a time.  Deterministic: cycles through fixed
-    offsets c until a factor splits off, which always happens for
-    composite n.
+    offsets c until a factor splits off or the _RHO_STEPS budget, shared by
+    all offsets, runs out; then it raises ValueError naming n's bit length.
     """
     if n % 2 == 0:
         return 2
-    m = 128
+    m, steps = 128, 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # the window's skip and its batches
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor a {n.bit_length()}-bit cofactor: no prime "
+                                 f"factor found within {_RHO_STEPS} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -307,7 +317,7 @@ def _split(n: int) -> int:
     TRIAL_DIVISION_BOUND, so that it is a perfect power only to exponents up
     to bits/10: an exact root when it is one, at every size; else a factor
     from the SQUFOF race, for n of at most _RACE_BITS bits; else from rho,
-    which always ends."""
+    which raises ValueError past its step budget."""
     bits = n.bit_length()
     for e in range(2, bits // 10 + 1):
         r = _iroot(n, e)
@@ -345,6 +355,12 @@ def factor(m: int) -> FactoredInteger:
     2 N^(1/4) steps over all lanes; else by Brent-Pollard rho (one gcd per
     128 steps).
     Every factor above 2**32 is certified by deterministic Miller-Rabin.
+
+    Size limit: rho gives up after 2**20 steps, under a second, which is
+    enough for a prime up to about 2**36.  A cofactor past 91 bits that is
+    no perfect power and whose least prime is well past that (such as the
+    95-bit product of a 47- and a 48-bit prime) raises ValueError naming
+    the cofactor's bit length.
     """
     if m == 0:
         raise ValueError("cannot factor zero")

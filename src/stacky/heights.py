@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredInteger, primes_up_to, smallest_prime_factor
+from .arith import FactoredInteger, is_prime, primes_up_to, smallest_prime_factor
 from .kummer import KummerClass, discriminant
 
 __all__ = [
@@ -60,22 +60,20 @@ class HeightValue:
         return out
 
 
-def _exact_height(base: FactoredInteger, power: Fraction) -> HeightValue:
-    log_value = float(power) * sum(e * math.log(p) for p, e in base.factors)
-    return HeightValue(log_value, base, power)
+_ESZB_POWER = Fraction(1, 2)
 
 
 def _disc_power(cls: KummerClass, mode: str, power: Fraction):
-    """|disc|^power, or a (lo, hi) pair when the wild exponents are only an
-    interval."""
+    """|disc|^power, read off the class's one discriminant per mode, or a
+    (lo, hi) pair when the wild exponents are only an interval."""
     res = discriminant(cls, mode)
-    lo = _exact_height(res.lo, power)
-    return lo if res.is_exact else (lo, _exact_height(res.hi, power))
+    lo = HeightValue(float(power) * res.log_lo, res.lo, power)
+    return lo if res.is_exact else (lo, HeightValue(float(power) * res.log_hi, res.hi, power))
 
 
 def eszb_height(cls: KummerClass, mode: str = "exact"):
     """(1/2) log |disc|; interval mode returns a (lo, hi) pair."""
-    return _disc_power(cls, mode, Fraction(1, 2))
+    return _disc_power(cls, mode, _ESZB_POWER)
 
 
 def darda_denominator(n: int) -> int:
@@ -85,21 +83,26 @@ def darda_denominator(n: int) -> int:
     return n * sectors(n).min_value()
 
 
+@functools.cache
+def _darda_power(n: int) -> Fraction:
+    return Fraction(1, darda_denominator(n))
+
+
 def darda_local(cls: KummerClass, place, mode: str = "exact") -> float:
     """Local quasi-discriminant factor at a finite prime or at "inf".
 
     Finite p: |a|_p^(1/n) * p^(e_p / (n^2 - n^2/r)) with e_p the local
     discriminant exponent; the single real place contributes |a|^(1/n).
+    A place that is neither "inf" (or math.inf) nor a prime raises
+    ValueError.
     """
     a = cls.a
     if place == "inf" or place == math.inf:
         return a.abs_value ** (1.0 / cls.n)
+    if not (isinstance(place, int) and is_prime(place)):
+        raise ValueError(f"place {place!r} is neither 'inf' nor a prime")
     p = place
-    res = discriminant(cls, mode)
-    e_p = 0
-    for d in res.locals:
-        if d.p == p:
-            e_p = d.exponent
+    e_p = next((d.exponent for d in discriminant(cls, mode).locals if d.p == p), 0)
     v = a.valuation(p)
     N = darda_denominator(cls.n)
     return p ** (-v / cls.n) * p ** (e_p / N)
@@ -112,7 +115,7 @@ def darda_global(cls: KummerClass, mode: str = "exact"):
     formula, leaving |disc|^(1/(n^2 - n^2/r)) exactly.  Interval mode
     returns (lo, hi).
     """
-    return _disc_power(cls, mode, Fraction(1, darda_denominator(cls.n)))
+    return _disc_power(cls, mode, _darda_power(cls.n))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import FactoredInteger, _primes_of, nth_power_free_reduce, valuation
 
@@ -44,6 +45,13 @@ class KummerClass:
     @property
     def is_trivial(self) -> bool:
         return self.a.sign == 1 and not self.a.factors
+
+    @cached_property
+    def _discs(self) -> dict[str, "DiscriminantResult"]:
+        """The discriminant of each mode ``discriminant`` has built for this
+        class, made on first use; equality and the hash read n and a only.
+        Two threads that race on one mode build equal results."""
+        return {}
 
 
 def canonical(
@@ -111,17 +119,27 @@ class DiscriminantResult:
     exactness: str  # "exact" or "tame-exact-wild-interval"
     locals: tuple[LocalDiscData, ...]
 
-    @property
+    @cached_property
     def lo(self) -> FactoredInteger:
         return FactoredInteger(1, tuple((d.p, d.lo) for d in self.locals if d.lo))
 
-    @property
+    @cached_property
     def hi(self) -> FactoredInteger:
         return FactoredInteger(1, tuple((d.p, d.hi) for d in self.locals if d.hi))
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(d.exact for d in self.locals)
+
+    @cached_property
+    def log_lo(self) -> float:
+        """log of the low end, summed in prime order, so every height that
+        reads it gets the same float."""
+        return sum(d.lo * math.log(d.p) for d in self.locals)
+
+    @cached_property
+    def log_hi(self) -> float:
+        return sum(d.hi * math.log(d.p) for d in self.locals)
 
     @property
     def value(self) -> FactoredInteger:
@@ -132,12 +150,10 @@ class DiscriminantResult:
     def log_abs(self) -> float:
         if not self.is_exact:
             raise ValueError("discriminant is only known as an interval")
-        return sum(d.lo * math.log(d.p) for d in self.locals)
+        return self.log_lo
 
     def log_abs_interval(self) -> tuple[float, float]:
-        lo = sum(d.lo * math.log(d.p) for d in self.locals)
-        hi = sum(d.hi * math.log(d.p) for d in self.locals)
-        return lo, hi
+        return self.log_lo, self.log_hi
 
     def to_json(self) -> dict:
         out = {
@@ -163,8 +179,12 @@ def tame_local(cls: KummerClass, p: int) -> LocalDiscData:
     """Exact exponent n - gcd(v_p(a), n) at a prime p not dividing n."""
     if cls.n % p == 0:
         raise ValueError(f"{p} divides n={cls.n}; use wild_local")
-    d = math.gcd(cls.a.valuation(p), cls.n)
-    return LocalDiscData(p, "tame", cls.n - d, cls.n - d, tame_d=d)
+    return _tame(cls.n, p, cls.a.valuation(p))
+
+
+def _tame(n: int, p: int, v: int) -> LocalDiscData:
+    d = math.gcd(v, n)
+    return LocalDiscData(p, "tame", n - d, n - d, tame_d=d)
 
 
 def wild_exponent(n: int, a: int, v: int) -> int:
@@ -203,18 +223,20 @@ def discriminant(cls: KummerClass, mode: str = "exact") -> DiscriminantResult:
 
     mode "exact" requires n in {2,3}; "tame" sets wild exponents to zero;
     "interval" brackets the wild part by [0, v_p(n^n a^(n-1))].
+
+    A class computes its discriminant once per mode and keeps it, so a
+    second call returns the same object; every height in ``heights`` reads
+    it.  A call that raises keeps nothing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if (res := cls._discs.get(mode)) is not None:
+        return res
     n = cls.n
-    locals_ = [
-        LocalDiscData(p, "wild", 0, 0) if mode == "tame" else wild_local(cls, p, mode)
-        for p in _primes_of(n)
-    ]
-    for p, _ in cls.a.factors:
-        if n % p != 0:
-            locals_.append(tame_local(cls, p))
+    locals_ = [] if mode == "tame" else [wild_local(cls, p, mode) for p in _primes_of(n)]
+    locals_ += [_tame(n, p, e) for p, e in cls.a.factors if n % p]
     locals_.sort(key=lambda d: d.p)
-    locals_ = [d for d in locals_ if d.hi > 0]
     exactness = "exact" if mode == "exact" else "tame-exact-wild-interval"
-    return DiscriminantResult(exactness, tuple(locals_))
+    res = cls._discs[mode] = DiscriminantResult(
+        exactness, tuple(d for d in locals_ if d.hi > 0))
+    return res

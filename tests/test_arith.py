@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -176,6 +177,18 @@ def test_screen_divides_out_every_mid_prime(mid_primes, rest):
     mid = {p: e for p, e in sympy.factorint(m, limit=2**16).items() if 2**10 < p <= 2**16}
     assert exps == mid
     assert cofactor * math.prod(p**e for p, e in mid.items()) == m
+
+
+# a 95-bit product of a 47- and a 48-bit prime: past the race, no perfect
+# power, and both primes far past what rho's 2**20 steps find
+RHO_BUDGET_SEMIPRIME = sympy.nextprime(3 * 2**45) * sympy.nextprime(3 * 2**46)
+
+
+def test_factor_past_the_rho_budget_raises():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot factor a 95-bit cofactor"):
+        factor(RHO_BUDGET_SEMIPRIME)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_factor_rejects_zero():

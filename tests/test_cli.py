@@ -151,6 +151,14 @@ def test_kummer_exact_mode_domain_error(capsys):
     assert "error" in err
 
 
+def test_kummer_disc_past_the_factor_limit(capsys):
+    # the product of a 47- and a 48-bit prime: factor's rho gives up
+    a = 22282920707145394750601822923
+    code, out, err = run(capsys, "kummer", "disc", "--n", "2", "--a", str(a))
+    assert code == 1 and not out
+    assert "cannot factor a 95-bit cofactor" in err
+
+
 def test_height_commands(capsys):
     obj = run_json(capsys, "height", "eszb", "--n", "2", "--a", "3", "--json")
     assert math.isclose(obj["log_value"], math.log(12) / 2)

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacky.heights import (
     D_aprime,
+    HeightValue,
     RaisingFunction,
     a_eszb_closed,
     a_eszb_witness,
@@ -18,7 +21,7 @@ from stacky.heights import (
     raising_height,
     sectors,
 )
-from stacky.kummer import canonical, discriminant
+from stacky.kummer import EXACT_WILD_DEGREES, canonical, discriminant
 
 
 def test_eszb_height():
@@ -64,6 +67,61 @@ def test_darda_local_product_matches_global():
                     prod *= darda_local(cls, p, mode)
                 want = darda_global(cls, mode).log_value
                 assert math.isclose(math.log(prod), want, abs_tol=1e-9), (n, a, mode)
+
+
+@pytest.mark.parametrize("place", [4, 1, -3, 0, 2.0, "2"])
+def test_darda_local_rejects_places_that_are_not_primes(place):
+    with pytest.raises(ValueError, match="neither 'inf' nor a prime"):
+        darda_local(canonical(12, 2), place)
+
+
+def test_darda_local_at_inf_and_primes():
+    cls = canonical(12, 2)  # a = 3, |disc| = 12, N = 2
+    assert darda_local(cls, "inf") == darda_local(cls, math.inf) == 3 ** 0.5
+    assert darda_local(cls, 2) == 2 ** (2 / 2)
+    assert darda_local(cls, 3) == 3 ** (-1 / 2) * 3 ** (1 / 2)
+    assert darda_local(cls, 5) == 1.0
+
+
+# primes of a: every prime dividing some n <= 12, and primes prime to all n
+HEIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 101, 65537)
+
+
+def _want(res, power):
+    """|disc|^power from the discriminant's own prime powers, summed in
+    prime order: the value every height must reproduce bit for bit."""
+    def height(base):
+        return HeightValue(float(power) * sum(e * math.log(p) for p, e in base.factors),
+                           base, power)
+    return height(res.lo) if res.is_exact else (height(res.lo), height(res.hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.sampled_from((1, -1)),
+       st.dictionaries(st.sampled_from(HEIGHT_PRIMES), st.integers(1, 30), max_size=5),
+       st.none() | st.integers(2, 10**6))
+def test_heights_read_one_discriminant(n, sign, powers, den):
+    a = sign * math.prod(p**e for p, e in powers.items())
+    cls = canonical(a, n, den)
+    modes = ("exact", "tame", "interval") if n in EXACT_WILD_DEGREES else ("tame", "interval")
+    N = darda_denominator(n)
+    ap = float(a_eszb_closed(n))
+    # twice over every mode on one instance, against a fresh class per mode,
+    # so that a kept discriminant read under the wrong mode would show
+    for mode in modes * 2:
+        res = discriminant(canonical(a, n, den), mode)
+        assert eszb_height(cls, mode) == _want(res, Fraction(1, 2))
+        assert darda_global(cls, mode) == _want(res, Fraction(1, N))
+        edd_want = sum(math.log(p) for p, _ in res.lo.factors)
+        assert edd(cls, mode) == edd_want
+        if res.is_exact:
+            assert raising_height(cls, mode) == _want(res, Fraction(1))  # |disc| itself
+            assert D_aprime(cls, ap, mode) == ap * _want(res, Fraction(1, 2)).log_value - edd_want
+        else:
+            with pytest.raises(ValueError):
+                raising_height(cls, mode)
+            with pytest.raises(ValueError):
+                D_aprime(cls, ap, mode)
 
 
 def test_darda_interval_mode():

@@ -126,3 +126,31 @@ def test_discriminant_json():
     assert {(d["p"], d["kind"]) for d in obj["locals"]} == {(2, "wild"), (3, "tame")}
     obj = discriminant(canonical(2, 4), "interval").to_json()
     assert "value_interval" in obj
+
+
+def test_discriminant_is_built_once_per_mode():
+    for n, modes in ((2, ("exact", "tame", "interval")), (6, ("tame", "interval"))):
+        cls = canonical(-2 * 3 * 5**2, n)
+        results = {mode: discriminant(cls, mode) for mode in modes}
+        for mode in modes:
+            assert discriminant(cls, mode) is results[mode]
+        assert len({id(res) for res in results.values()}) == len(modes)
+
+
+def test_discriminant_that_raises_keeps_nothing():
+    cls = canonical(7, 5)
+    for _ in range(2):  # the second call raises too: nothing was kept
+        with pytest.raises(ValueError, match="exact wild exponents"):
+            discriminant(cls, "exact")
+        with pytest.raises(ValueError, match="unknown mode"):
+            discriminant(cls, "fuzzy")
+    assert discriminant(cls, "interval") == discriminant(canonical(7, 5), "interval")
+
+
+def test_kept_discriminants_leave_equality_and_hash():
+    cls = canonical(12, 3)
+    discriminant(cls, "exact")
+    discriminant(cls, "tame")
+    fresh = KummerClass(3, factor(12))
+    assert cls == fresh and hash(cls) == hash(fresh)
+    assert len({cls, fresh}) == 1

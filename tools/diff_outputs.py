@@ -17,8 +17,11 @@ The kummer section takes seeded a of 8, 20, 40 and 62 bits, products of two
 entries are ``factor(a)`` and, for n = 2..12 without and with a seeded
 denominator of either sign, the canonical class, ``is_irreducible``, and in
 every mode the class admits (exact for n in {2, 3}, else tame and
-interval) the discriminant's JSON, the eszb and darda heights and ``edd``,
-and ``D_aprime`` at a' = ``a_eszb_closed(n)``.
+interval) the discriminant's JSON, the eszb and darda heights, ``edd``,
+the raising height (exact mode only) and ``darda_local`` at "inf" and at
+each prime of the class's a and of n (or the exception it raises), then
+all of these a second time on the same class, after every mode was asked
+for once, and last ``D_aprime`` at a' = ``a_eszb_closed(n)``.
 
 The factor section takes seeded products of sympy primes: of about 70,
 91 and 140 bits, the last with factors of 20 and 30 bits that rho splits
@@ -50,7 +53,7 @@ from stacky.arith import factor  # noqa: E402
 from stacky.census import (FAST_COUNTERS, ORDERINGS, LadderSpec, count,  # noqa: E402
                            enumerate_cyclic, enumerate_mu)
 from stacky.heights import (D_aprime, a_eszb_closed, darda_denominator,  # noqa: E402
-                            darda_global, edd, eszb_height)
+                            darda_global, darda_local, edd, eszb_height, raising_height)
 from stacky.kummer import (EXACT_WILD_DEGREES, canonical, discriminant,  # noqa: E402
                            is_irreducible)
 from stacky.malle import group_preset, malle_invariants, signature_for_field  # noqa: E402
@@ -82,16 +85,22 @@ DIHEDRAL_DEGREES = (20, 101)
 MALLE_FIELDS = ("Q", ("zeta", 3), ("zeta", 4))
 
 
+def _recorded(f, *args):
+    """f(*args), or the exception's type and message, so that a changed
+    error shows."""
+    try:
+        return f(*args)
+    except Exception as exc:  # recorded, not raised
+        return f"{type(exc).__name__}: {exc}"
+
+
 def census_entries():
     for key in sorted(FAST_COUNTERS):
         kind, n, counter, ordering = key
         for b0, doublings in LADDERS:
             name = f"count {kind}:{n} {counter} {ordering} b0={b0!r} doublings={doublings}"
-            try:
-                spec = LadderSpec((kind, n), counter, ordering, b0=b0, doublings=doublings)
-                yield name, [c for _, c in count(spec).points]
-            except Exception as exc:  # recorded, so that a changed error shows
-                yield name, f"{type(exc).__name__}: {exc}"
+            yield name, _recorded(lambda: [c for _, c in count(
+                LadderSpec((kind, n), counter, ordering, b0=b0, doublings=doublings)).points])
     for n, cap in ENUM_CAPS.items():
         for ordering in ORDERINGS:
             if ordering == "disc_exact" and n not in EXACT_WILD_DEGREES:
@@ -128,9 +137,14 @@ def kummer_entries():
                 cls = canonical(num, n, den)
                 out = [str(cls.a), is_irreducible(cls)]
                 exact = n in EXACT_WILD_DEGREES
-                for mode in ("exact",) if exact else ("tame", "interval"):
+                places = ["inf"] + sorted({p for p, _ in cls.a.factors}
+                                          | {p for p, _ in factor(n).factors})
+                for mode in (("exact",) if exact else ("tame", "interval")) * 2:
                     out += [discriminant(cls, mode).to_json(), _height(eszb_height(cls, mode)),
                             _height(darda_global(cls, mode)), edd(cls, mode)]
+                    if exact:
+                        out.append(raising_height(cls, mode).to_json())
+                    out += [_recorded(darda_local, cls, place, mode) for place in places]
                 out.append(D_aprime(cls, float(a_eszb_closed(n)), "exact" if exact else "tame"))
                 yield f"kummer a={a} n={n} den={den}", out
 
