@@ -13,20 +13,20 @@ two stacks.  Both enumerators, ``enumerate_mu`` and ``enumerate_cyclic``,
 read their record through one walk, ``_walk``, over supports of
 increasing primes pruned by the partial |disc|, each beside its wild rows
 (no caller depends on the order within a support).  ``count`` looks each
-ladder target up in ``FAST_COUNTERS``; the M counter of a mu target whose
-T key is there streams ``enumerate_mu``, and any other target raises.
-Every fast key goes through one local-type counter, ``_count_types``,
+ladder target up in ``FAST_COUNTERS``, and any target outside it raises.
+Every key there goes through one local-type counter, ``_count_types``,
 which counts what the walk reaches from the same record, on numpy arrays
-from ``arith.sieve``: the mu keys (T for n = 2..12 under every ordering
-``enumerate_mu`` takes, and M for prime n) with the |disc| caps of
-``_disc_bound``; the cyclic keys (M for n = 2..12) for each d | n, inverted
-by Mobius over d.  A ladder past the counter's int64 range streams; one
+from ``arith.sieve``: the mu keys (T and M for n = 2..12 under every
+ordering ``enumerate_mu`` takes) with the |disc| caps of ``_disc_bound``,
+M being T less the reducible classes of ``_reducible``, counted from
+restricted records by inclusion-exclusion; the cyclic keys (M for n =
+2..12) for each d | n, inverted by Mobius over d.  The counter works in
+int64 below a top cap of 2^62 and in Python ints from there on; a ladder
 past physical memory raises ValueError.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import itertools
 import math
@@ -34,14 +34,14 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import (FactoredInteger, _primes_of, is_prime, primes_up_to, sieve, unit_group,
-                    valuation)
+from .arith import (FactoredInteger, _iroot as _int_root, _primes_of, primes_up_to, sieve,
+                    unit_group, valuation)
 from .heights import darda_denominator, sectors
-from .kummer import EXACT_WILD_DEGREES, KummerClass, is_irreducible, wild_exponent
+from .kummer import EXACT_WILD_DEGREES, KummerClass, wild_exponent
 
 __all__ = [
     "CountLadder",
@@ -112,10 +112,10 @@ class LadderSpec:
     ordering: str = "disc_exact"
     b0: float = DEFAULT_B0
     doublings: int = DEFAULT_DOUBLINGS
-    jobs: int = 1
+    jobs: int = 1  # read by nothing: kept while perfbench/workloads.py passes jobs=1
 
     def rungs(self) -> list[float]:
-        return [self.b0 * 2**i for i in range(self.doublings + 1)]
+        return [math.ldexp(self.b0, i) for i in range(self.doublings + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ class LadderSpec:
 LocalTypes = NamedTuple("LocalTypes", [("n", int), ("types", tuple), ("M", int), ("wild", tuple)])
 
 
-def _walk(local: LocalTypes, disc_bound: int, part: tuple[int, int] | None = None):
+def _walk(local: LocalTypes, disc_bound: int):
     """Every support of increasing tame primes, one type of ``local.types``
     chosen per prime, beside each wild row of its class, with |disc| <=
     disc_bound, as (pairs, tag, |disc|): the (p, payload) pairs of the tame
@@ -141,12 +141,11 @@ def _walk(local: LocalTypes, disc_bound: int, part: tuple[int, int] | None = Non
 
     The least type cost p^m caps the primes and prunes each support; a
     cap whose primes pass the sieve limit raises ValueError naming it
-    before anything is sieved.  ``part=(w, nparts)`` keeps the supports
-    whose smallest prime has index w mod nparts in the prime list, the
-    empty support going with index 0.
+    before anything is sieved.  A record with no tame type walks the empty
+    support alone.
     """
     n, types, M, wild = local
-    least = min(j for ts in types for _, _, j in ts)
+    least = min((j for ts in types for _, _, j in ts), default=math.inf)
     limit = int(disc_bound ** (1.0 / least)) + 2
     if limit >= 2**31:
         raise ValueError(f"|disc| cap {disc_bound} needs primes past the sieve limit 2^31")
@@ -170,11 +169,10 @@ def _walk(local: LocalTypes, disc_bound: int, part: tuple[int, int] | None = Non
                     if d * nxt <= disc_bound:
                         yield from rec(range(i + 1, len(primes)), *s)
 
-    start, step = (part[0] % part[1], part[1]) if part else (0, 1)
-    supports = rec(range(start, len(primes), step), (), 1 % M, 1)
+    supports = rec(range(len(primes)), (), 1 % M, 1)
     # each wild row with its largest prime (0 for none; none passes n)
     wild = [[(cost, w, tag, w[-1][0] if w else 0) for cost, w, tag in row] for row in wild]
-    for pairs, c, disc in itertools.chain([((), 1 % M, 1)] * (start == 0), supports):
+    for pairs, c, disc in itertools.chain([((), 1 % M, 1)], supports):
         low = pairs[0][0] if pairs else n + 1
         for cost, wpairs, tag, top in wild[c]:  # cheapest first
             d = disc * cost
@@ -192,7 +190,9 @@ def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     """Largest |disc| d with measure <= Bmax.  Under darda it is the largest
     integer d with d ** (1/N) <= Bmax, the float test ``enumerate_mu``
     applies, found by bisection; a cap past 2^1023, where the test leaves
-    the float range, raises ValueError."""
+    the float range, raises ValueError, as does a Bmax that is not finite."""
+    if not math.isfinite(Bmax):
+        raise ValueError(f"Bmax must be finite, got {Bmax}")
     if ordering != "darda":
         return math.floor(Bmax)
     x = 1.0 / darda_denominator(n)
@@ -207,12 +207,8 @@ def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     return lo
 
 
-def enumerate_mu(
-    n: int,
-    Bmax: float,
-    ordering: str = "disc_exact",
-    part: tuple[int, int] | None = None,
-) -> Iterator[tuple[KummerClass, float]]:
+def enumerate_mu(n: int, Bmax: float,
+                 ordering: str = "disc_exact") -> Iterator[tuple[KummerClass, float]]:
     """Stream every canonical Kummer class with measure <= Bmax, once each.
 
     The tame part of a class is a support walked by ``_walk``: a tame
@@ -222,8 +218,6 @@ def enumerate_mu(
     that ``_mu_types`` lists at the tame part's class, cheapest first, up
     to the first past the cap: within one support the stream runs cheapest
     wild pattern first.  No caller depends on that order.
-    ``part=(w, nparts)`` restricts the stream to one deterministic
-    partition, keyed by the smallest tame support prime.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -235,7 +229,7 @@ def enumerate_mu(
     if disc_bound < 1:
         return
     darda_exp = 1.0 / darda_denominator(n)
-    for factors, sign, d in _walk(_mu_types(n, ordering), disc_bound, part):
+    for factors, sign, d in _walk(_mu_types(n, ordering), disc_bound):
         m = d ** darda_exp if ordering == "darda" else d
         if m <= Bmax:
             yield KummerClass(n, FactoredInteger(sign, factors)), m
@@ -253,8 +247,17 @@ def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], .
     return [(s, w, v, pat) for w, v, pat in wild for s in ((1,) if n % 2 else (1, -1))]
 
 
+def _reducible(n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The sets of classes a with t^n - a reducible (Capelli): A_p, the p-th
+    powers, for each prime p | n, and A_-4 = -4 Q^4 when 4 | n.  Each is a
+    restriction (q, r2, signs): the exponent at every prime but 2 is 0 mod
+    q, v_2 is r2 mod q, and the sign lies in signs."""
+    return ([(p, 0, (1,) if p == 2 else (1, -1)) for p in _primes_of(n)]
+            + [(4, 2, (-1,))] * (n % 4 == 0))
+
+
 @cache
-def _mu_types(n: int, ordering: str) -> LocalTypes:
+def _mu_types(n: int, ordering: str, within: tuple = ()) -> LocalTypes:
     """The local types of Bmu_n under ``ordering``: at every tame residue
     the twisted sectors of ``heights.sectors``, an exponent e of payload e
     and cost n - gcd(e, n).  M is n^2 where ``ordering`` measures the wild
@@ -262,13 +265,19 @@ def _mu_types(n: int, ordering: str) -> LocalTypes:
     wild rows are every (cost, pattern, sign) of ``_wild_patterns`` beside a
     tame part of class c, cheapest first, in ``_wild_patterns`` order among
     equal costs: the cost is n^(wild exponent), or 1 where the wild primes
-    are not measured.
+    are not measured.  ``within``, a tuple of restrictions of
+    ``_reducible``, keeps the classes in all of them: each restriction is a
+    condition on every exponent and on the sign alone, so the record keeps
+    the tame types and the wild rows that meet it.
     """
     M = n * n if ordering != "disc_tame" and n in EXACT_WILD_DEGREES else 1
-    tame = tuple((e, e, j) for e, j in sectors(n).entries)
+    tame = tuple((e, e, j) for e, j in sectors(n).entries if all(e % q == 0 for q, _, _ in within))
+    wild = [(s, w, v, pat) for s, w, v, pat in _wild_patterns(n)
+            if all(s in signs and all(dict(pat).get(p, 0) % q == r2 * (p == 2)
+                                      for p in _primes_of(n)) for q, r2, signs in within)]
     return LocalTypes(n, tuple(tame if math.gcd(u, n) == 1 else () for u in range(n)), M,
                       tuple(tuple(sorted(((n ** wild_exponent(n, s * w * c, v) if M > 1 else 1,
-                                           pat, s) for s, w, v, pat in _wild_patterns(n)),
+                                           pat, s) for s, w, v, pat in wild),
                                          key=lambda row: row[0]))
                             if math.gcd(c, M) == 1 else () for c in range(M)))
 
@@ -351,7 +360,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     """
     if n < 2 or n > 12:
         raise ValueError("cyclic enumeration supports 2 <= n <= 12")
-    disc_bound = math.floor(Bmax)
+    disc_bound = _disc_bound(Bmax, n, "disc_exact")
     if disc_bound < 1:
         return
     # v is least in its Aut(Z/nZ) orbit only if its first nonzero value c is
@@ -376,14 +385,23 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
 # prefix-sum table
 _TABLE = 1 << 14
 
+# a counter whose top cap is below this works in int64; from it on the
+# caps, the h sweep's products and their quotients are Python ints
+_INT64_TOP = 1 << 62
+
 
 def _iroot(y: np.ndarray, m: int) -> np.ndarray:
-    """floor(y^(1/m)) for an int64 array 0 <= y < 2^62 and m <= 10."""
+    """floor(y^(1/m)) as int64, for m <= 10 and an array 0 <= y, of int64
+    below 2^62 or of Python ints (dtype object) whose roots fit int64: the
+    float root, corrected by exact comparisons in the dtype of y."""
     if m == 1:
-        return y
-    z = np.floor(y ** (1.0 / m)).astype(np.int64)
-    z -= z**m > y
-    return z + ((z + 1) ** m <= y)
+        return y.astype(np.int64, copy=False)
+    z = np.floor(y.astype(float) ** (1.0 / m)).astype(np.int64)
+    while (over := z.astype(y.dtype, copy=False) ** m > y).any():
+        z -= over
+    while (under := (z.astype(y.dtype, copy=False) + 1) ** m <= y).any():
+        z += under
+    return z
 
 
 def _ranges(lens: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -393,13 +411,15 @@ def _ranges(lens: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     return j, np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens - starts, lens)
 
 
-def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
+def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     """How many supports ``_walk`` reaches within each |disc| cap (caps
-    ascending), wild costs included, counted from the local types alone;
-    None, before anything is allocated, when the top cap reaches 2^62, past
-    the int64 range the counter works in.  Every product it forms stays
-    within the top cap: the h sweep starts at each wild cost and prunes by
-    top // k.
+    ascending), wild costs included, counted from the local types alone.
+    Every product it forms stays within the top cap: the h sweep starts at
+    each wild cost and prunes by top // k.  The caps, the sweep's products
+    and their quotients are int64 while the top cap is below 2^62 and
+    Python ints (dtype object) from there on; the queries into the table,
+    bounded by the memory guard, are int64 in both cases.  A record with
+    no tame type counts the wild costs beside the empty support alone.
 
     ``local`` is the record the walk reads: a tame prime p admits the types
     ``local.types[p % n]``, each costing p^j and moving the tame part's
@@ -417,7 +437,7 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
     built one prime of every d at a time.  h(p^j) = f(p^j) - (leading types
     at p) h(p^(j - m)) vanishes for j <= m, so its supports are few; they
     are swept one prime more at a time.  Past physical memory the counter
-    raises ValueError instead of allocating.
+    raises ValueError naming the top cap instead of allocating.
     """
     n, types, M, rows = local
     top = max(caps)
@@ -432,8 +452,8 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
     # term when there is none)
     wild = [(t, c, k) for t in range(C) for c, k in costs[pow(g, t, M)].items()
             if c <= top] or [(0, 1, 0)]
-    if top >= 2**62:
-        return None
+    if not any(types):  # the empty support, of class 1 (t = 0)
+        return [sum(k for t, c, k in wild if t == 0 and c <= cap) for cap in caps]
     log = {pow(g, i, M): i % C for i in range(len(costs))}
     bound = top // min(c for _, c, _ in wild)
     m = min(j for ts in types for _, _, j in ts)
@@ -449,7 +469,7 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
         for j in range(m, len(H[u])):
             H[u][j] = f[j] - f[m] * H[u][j - m]
 
-    zmax = int(_iroot(np.array([bound]), m)[0])
+    zmax = _int_root(bound, m) if m > 1 and bound else bound  # exact, past int64 too
     mobius = all(P[u] == [1] + [0] * (C - 1) for u in unit_group(L))
     Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius else zmax
     # peak memory per sieve entry, measured: 13-14 bytes on the Mobius path
@@ -457,19 +477,21 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
     # V and a round's arrays) and 53 for C = 3; the guard keeps 32 a class
     # row, so that no ladder changes route
     if (Z + 1) * 32 * C > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ValueError(f"counting to |disc| {top} needs more than physical memory")
+        raise ValueError(f"|disc| cap {top} needs more than physical memory")
+    dtype = np.int64 if top < _INT64_TOP else object
 
     # p^j for each j with h(p^j) != 0, over the same primes prime to n:
     # index i is one prime, weighted by h(p^j) at its residue
     js = [j for j in range(m + 1, len(H[0])) if any(h[j] for h in H)]
     ps = [p for p in primes_up_to(int(bound ** (1 / js[0])) + 1) if n % p] if js else []
     H = np.array(H)
-    pw = [(H[np.array(ps[:len(pj)], dtype=np.int64) % L, j], np.array(pj, dtype=np.int64))
+    pw = [(H[np.array(ps[:len(pj)], dtype=np.int64) % L, j], np.array(pj, dtype=dtype))
           for j in js for pj in [list(itertools.takewhile(bound.__ge__, (p**j for p in ps)))]]
     # the supports of h times each wild cost c, one prime more per sweep:
     # weight, k, the index of the largest prime and the class t beside the
     # wild cost; a support of weight 0 counts nothing
     W, K, I, R = (np.array(x) for x in zip(*((k, c, -1, t) for t, c, k in wild)))
+    K = K.astype(dtype)
     sup = []
     while len(K):
         sup.append((W, K, R))
@@ -517,9 +539,10 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
 
     # every (cap, term) pair with the term within the cap, as indices c, i:
     # term i is within the caps from its first one on
+    caps = np.array(caps, dtype=dtype)
     first = np.searchsorted(caps, Q)
     i, c = _ranges(len(caps) - first, first)
-    z = _iroot(np.array(caps)[c] // Q[i], m)
+    z = _iroot(caps[c] // Q[i], m)
     g = tab[R[i], np.minimum(z, Z)].astype(np.int64)
 
     # past the table (only on the Mobius path), the squarefree d <= z prime
@@ -549,32 +572,35 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int] | None:
     return counts.tolist()
 
 
-def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int] | None:
-    """T(B), or M(B) for prime n, for mu_n, every rung at once: what
-    ``enumerate_mu`` walks, counted by ``_count_types`` from the same
-    record (``_mu_types``) and the same |disc| caps (``_disc_bound``).
-    For prime n the one reducible class is a = 1, so M(B) is T(B) less
-    a = 1 where its |disc| is within the cap.
+def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int]:
+    """T(B), or M(B), for mu_n, every rung at once: what ``enumerate_mu``
+    walks, counted by ``_count_types`` from the same record (``_mu_types``)
+    and the same |disc| caps (``_disc_bound``).  M(B) is T(B) less the
+    reducible classes, by inclusion-exclusion over the sets of
+    ``_reducible``: each intersection is one restricted record, the empty
+    ones (A_2 and A_-4 share no sign) counting nothing.
     """
     caps = [_disc_bound(B, n, ordering) for B in rungs]
-    local = _mu_types(n, ordering)
-    one = next(c for c, pat, s in local.wild[1 % local.M] if (s, pat) == (1, ()))  # a = 1
-    counts = _count_types(local, caps)
-    return counts and [c - (counter == "M" and cap >= one) for c, cap in zip(counts, caps)]
+    counts = _count_types(_mu_types(n, ordering), caps)
+    sets = _reducible(n) if counter == "M" else []
+    for k in range(1, len(sets) + 1):
+        for within in itertools.combinations(sets, k):
+            if any((local := _mu_types(n, ordering, within)).wild):
+                counts = [c + (-1) ** k * r for c, r in zip(counts, _count_types(local, caps))]
+    return counts
 
 
-def _count_cyclic(n: int, rungs: list[float]) -> list[int] | None:
+def _count_cyclic(n: int, rungs: list[float]) -> list[int]:
     """M(B) for cyclic degree-n fields, every rung at once: the characters
     of order exactly n, over phi(n), are sum_{d | n} mu(n/d) C_d, C_d
     counting the characters of order dividing d, which ``_count_types``
     counts from ``_cyclic_types(n, d)``.
     """
-    caps = [math.floor(B) for B in rungs]
+    caps = [_disc_bound(B, n, "disc_exact") for B in rungs]
     mob = sieve(n)[1].tolist()  # mob[n // d] = mu(n/d)
     total = [mob[n] * (cap >= 1) for cap in caps]  # C_1 = 1
     for d in (d for d in range(2, n + 1) if n % d == 0 and mob[n // d]):
-        if (counts := _count_types(_cyclic_types(n, d), caps)) is None:
-            return None
+        counts = _count_types(_cyclic_types(n, d), caps)
         total = [t + mob[n // d] * c for t, c in zip(total, counts)]
     return [t // len(unit_group(n)) for t in total]
 
@@ -582,34 +608,14 @@ def _count_cyclic(n: int, rungs: list[float]) -> list[int] | None:
 # ---------------------------------------------------------------------------
 # ladders and fitting
 
-# measures sorted and counted at a time by _rung_counts
-_RUNG_CHUNK = 1 << 16
-
-
-def _rung_counts(measures: Iterable[float], rungs: list[float]) -> list[int]:
-    """How many of ``measures`` are <= each rung, in bounded memory: each
-    chunk of the stream is sorted and counted with one bisect per rung."""
-    counts = [0] * len(rungs)
-    it = iter(measures)
-    while chunk := sorted(itertools.islice(it, _RUNG_CHUNK)):
-        for i, B in enumerate(rungs):
-            counts[i] += bisect.bisect_right(chunk, B)
-    return counts
-
-
-def _mu_partition_counts(args) -> list[int]:
-    n, rungs, ordering, counter, w, nparts = args
-    stream = enumerate_mu(n, rungs[-1], ordering, part=(w, nparts))
-    return _rung_counts((m for cls, m in stream if counter != "M" or is_irreducible(cls)), rungs)
-
 
 # (kind, n, counter, ordering) -> exact counter of every rung at once: mu_n
-# T under every ordering enumerate_mu takes, M for prime n, and the cyclic
-# fields of every degree enumerate_cyclic takes
+# T and M under every ordering enumerate_mu takes, and the cyclic fields of
+# every degree enumerate_cyclic takes
 FAST_COUNTERS = {
     **{("mu", n, c, o): partial(_count_mu, n, o, counter=c)
        for n in range(2, 13) for o in ORDERINGS if o != "disc_exact" or n in EXACT_WILD_DEGREES
-       for c in "TM" if c == "T" or is_prime(n)},
+       for c in "TM"},
     **{("cyclic", n, "M", "disc_exact"): partial(_count_cyclic, n) for n in range(2, 13)},
 }
 
@@ -617,51 +623,26 @@ FAST_COUNTERS = {
 def count(spec: LadderSpec) -> CountLadder:
     """Build the count ladder for a census target.
 
-    ``FAST_COUNTERS`` decides the route.  A key in the table goes through
-    the local-type counter ``_count_types``.  The M counter of a mu target
-    whose T key is in the table streams ``enumerate_mu`` through the
-    irreducibility test, optionally split over ``jobs`` deterministic
-    partitions.  Every other key, a negative ``doublings`` and a ``b0`` that
-    is not positive and finite raise ValueError before anything is
-    enumerated.  A fast ladder past the counter's int64 range streams its
-    enumerator; one whose tables would not fit in physical memory raises
-    ValueError.
+    Every key of ``FAST_COUNTERS`` goes through the local-type counter
+    ``_count_types``.  Every other key, a negative ``doublings``, a ``b0``
+    that is not positive and finite and a top rung b0 * 2^doublings past
+    the float range raise ValueError before anything is counted; so does a
+    ladder whose tables would not fit in physical memory, before it
+    allocates them.
     """
     kind, n = spec.target
     if spec.doublings < 0:
         raise ValueError(f"doublings must be >= 0, got {spec.doublings}")
     if not 0 < spec.b0 < math.inf:
         raise ValueError(f"b0 must be positive and finite, got {spec.b0}")
+    if math.frexp(spec.b0)[1] + spec.doublings > 1024:  # b0 * 2^doublings >= 2^1024
+        raise ValueError(f"top rung b0 * 2^{spec.doublings} is not finite, b0 = {spec.b0}")
     fast = FAST_COUNTERS.get((kind, n, spec.counter, spec.ordering))
-    streamed = (kind == "mu" and spec.counter == "M"
-                and ("mu", n, "T", spec.ordering) in FAST_COUNTERS)
-    if fast is None and not streamed:
+    if fast is None:
         raise ValueError(f"no census of {kind}:{n}, counter {spec.counter}, "
                          f"ordering {spec.ordering}")
     rungs = spec.rungs()
-    # a fast counter answers None for rungs past its range, which stream
-    if fast is None or (counts := fast(rungs)) is None:
-        counts = (_count_mu_streaming(spec, rungs) if kind == "mu" else
-                  _rung_counts((d for _, d in enumerate_cyclic(n, rungs[-1])), rungs))
-    points = tuple((b, c) for b, c in zip(rungs, counts))
-    return CountLadder(f"{kind}:{n}", spec.counter, spec.ordering, points)
-
-
-def _count_mu_streaming(spec: LadderSpec, rungs: list[float]) -> list[int]:
-    _, n = spec.target
-    nparts = max(1, spec.jobs)
-    tasks = [(n, rungs, spec.ordering, spec.counter, w, nparts) for w in range(nparts)]
-    if nparts == 1:
-        parts = [_mu_partition_counts(tasks[0])]
-    else:
-        # imported here, as only this path needs its multiprocessing and
-        # socket modules; fork starts every worker at once: no more of them
-        # than cores
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(nparts, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_mu_partition_counts, tasks))
-    return [sum(c) for c in zip(*parts)]
+    return CountLadder(f"{kind}:{n}", spec.counter, spec.ordering, tuple(zip(rungs, fast(rungs))))
 
 
 def fit(ladder: CountLadder, window: tuple[int, int] | None = None) -> FitResult:

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -177,7 +176,6 @@ def _cmd_census(args) -> int:
         ordering=_ORDER_MAP[args.order],
         b0=b0,
         doublings=doublings,
-        jobs=args.jobs,
     )
     ladder = census_mod.count(spec)
     if args.out:
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Bmax", default="2.62144e8")
     p.add_argument("--B0", default="1e3")
     p.add_argument("--order", choices=["exact", "tame", "darda"], default="exact")
-    p.add_argument("--jobs", type=int, default=os.environ.get("STACKY_JOBS", "1"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_census)
 
@@ -266,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser(jobs_default: str) -> argparse.ArgumentParser:
-    """``build_parser()`` built once per value of ``STACKY_JOBS``, the one
-    setting it reads from the environment."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and kept: the
+    parser reads nothing from the environment."""
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser(os.environ.get("STACKY_JOBS", "1"))
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:

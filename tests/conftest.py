@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from stacky.arith import _trial_primes
+
 settings.register_profile("stacky", derandomize=True, deadline=None)
 settings.load_profile("stacky")
 
@@ -18,7 +20,10 @@ settings.load_profile("stacky")
 def no_numpy_alloc(monkeypatch):
     """Make the numpy constructors the sieve uses raise AssertionError, so
     a test can show that an infeasible size is refused before any array is
-    allocated."""
+    allocated.  The trial primes that factoring n reads are sieved first,
+    so that the test does not depend on an earlier one having done it."""
+    _trial_primes()
+
     def refuse(*args, **kwargs):
         raise AssertionError("numpy array allocated")
 

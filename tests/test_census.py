@@ -1,19 +1,21 @@
 import bisect
-import concurrent.futures
+import itertools
 import math
 import os
 import random
 from collections import Counter
-from dataclasses import replace
+from functools import cache
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import numpy as np
 from oracles import census_measure, cyclic_fields_by_conductor, squarefree_prime_to
 from stacky import census
 from stacky.arith import FactoredInteger, factor, primes_up_to
+from stacky.arith import _iroot as int_root
 from stacky.census import (
     FAST_COUNTERS,
     ORDERINGS,
@@ -25,7 +27,8 @@ from stacky.census import (
     fit,
 )
 from stacky.heights import sectors
-from stacky.kummer import KummerClass, canonical, discriminant, is_irreducible, wild_exponent
+from stacky.kummer import (KummerClass, _in_minus_four_fourth_powers, _is_qth_power, canonical,
+                           discriminant, is_irreducible, wild_exponent)
 
 SEED = 20260824
 print(f"[test_census] seed={SEED}")
@@ -76,18 +79,6 @@ def test_enumerate_mu_small_example():
     assert irred == [-7, -3, -2, -1, 2, 5]
 
 
-def test_enumerate_mu_partitions_tile_the_stream():
-    whole = sorted(cls.a.value for cls, _ in enumerate_mu(3, 10**4))
-    parts = []
-    for w in range(3):
-        parts.append(
-            sorted(cls.a.value for cls, _ in enumerate_mu(3, 10**4, part=(w, 3)))
-        )
-    merged = sorted(v for part in parts for v in part)
-    assert merged == whole
-    assert sum(len(p) for p in parts) == len(set(merged))
-
-
 # (n, ordering) -> Bmax holding a few thousand classes or fewer, wild
 # patterns and both signs included
 MU_BOUNDS = {
@@ -105,35 +96,13 @@ MU_BOUNDS = {
 @pytest.mark.parametrize("n,ordering", sorted(MU_BOUNDS))
 def test_enumerate_mu_measures_match_discriminant_oracle(n, ordering):
     bmax = MU_BOUNDS[n, ordering]
-    for part in (None, (1, 3)):
-        emitted = 0
-        for cls, m in enumerate_mu(n, bmax, ordering, part=part):
-            want = census_measure(cls, ordering)
-            assert (m, type(m)) == (want, type(want)), (cls, m, want)
-            assert want <= bmax
-            emitted += 1
-        assert emitted
-
-
-@st.composite
-def _tiling_cases(draw):
-    n = draw(st.integers(2, 12))
-    ordering = draw(st.sampled_from([o for o in ORDERINGS if (n, o) in MU_BOUNDS]))
-    bmax = MU_BOUNDS[n, ordering] ** draw(st.floats(0.0, 1.0))
-    return n, ordering, bmax, draw(st.integers(1, 4))
-
-
-@given(_tiling_cases())
-def test_enumerate_mu_partitions_tile_the_stream_property(case):
-    n, ordering, bmax, nparts = case
-
-    def stream(part):
-        return [(cls.a.value, m) for cls, m in enumerate_mu(n, bmax, ordering, part=part)]
-
-    whole = stream(None)
-    parts = [item for w in range(nparts) for item in stream((w, nparts))]
-    assert len({a for a, _ in whole}) == len(whole)
-    assert sorted(parts) == sorted(whole)
+    emitted = 0
+    for cls, m in enumerate_mu(n, bmax, ordering):
+        want = census_measure(cls, ordering)
+        assert (m, type(m)) == (want, type(want)), (cls, m, want)
+        assert want <= bmax
+        emitted += 1
+    assert emitted
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -164,6 +133,63 @@ def test_wild_table_unmeasured_costs_one(n):
         _, _, M, table = census._mu_types(n, ordering)
         assert (M, len(table)) == (1, 1)
         assert table[0] == tuple((1, pat, s) for s, _, _, pat in census._wild_patterns(n))
+
+
+@cache
+def _mu_stream(n, ordering):
+    """Every class enumerate_mu emits to MU_BOUNDS, with its measure."""
+    return list(enumerate_mu(n, MU_BOUNDS[n, ordering], ordering))
+
+
+def _reducible_tests(n):
+    """The sets of census._reducible(n), each beside kummer's test of its
+    members: the p-th powers for each prime p | n, then -4 Q^4 when 4 | n."""
+    sets = census._reducible(n)
+    assert [q for q, _, _ in sets] == [p for p, _ in factor(n).factors] + [4] * (n % 4 == 0)
+    tests = [lambda a, p=p: _is_qth_power(a, p) for p, _ in factor(n).factors]
+    return list(zip(sets, tests + [_in_minus_four_fourth_powers] * (n % 4 == 0)))
+
+
+def _intersections(n):
+    """Every nonempty subset of the reducible sets of n, as (restrictions, tests)."""
+    pairs = _reducible_tests(n)
+    return [tuple(zip(*sub)) for k in range(1, len(pairs) + 1)
+            for sub in itertools.combinations(pairs, k)]
+
+
+@pytest.mark.parametrize("n,ordering", sorted(MU_BOUNDS))
+def test_restricted_records_walk_the_reducible_classes(n, ordering):
+    # the walk of each restricted record is the stream's classes in every
+    # set of the intersection, by kummer's tests; an empty intersection (the
+    # p = 2 squares and -4 Q^4 share no sign) has no wild row
+    cap = census._disc_bound(MU_BOUNDS[n, ordering], n, ordering)
+    for within, tests in _intersections(n):
+        local = census._mu_types(n, ordering, within)
+        walked = Counter((s, pairs) for pairs, s, _ in census._walk(local, cap))
+        want = Counter((cls.a.sign, cls.a.factors) for cls, _ in _mu_stream(n, ordering)
+                       if all(test(cls.a) for test in tests))
+        assert walked == want, within
+        assert any(local.wild) == bool(want), within
+    if n == 12:  # A_3 and -4 Q^4 meet in -64: no tame type, one wild row
+        local = census._mu_types(n, ordering, ((3, 0, (1, -1)), (4, 2, (-1,))))
+        assert not any(local.types) and local.wild == (((1, ((2, 6),), -1),),)
+
+
+@given(st.data())
+def test_restricted_records_count_the_reducible_classes(data):
+    # _count_types on each restricted record against the stream filtered by
+    # kummer's tests of the reducible classes, at every rung
+    n = data.draw(st.integers(2, 12))
+    ordering = data.draw(st.sampled_from([o for o in ORDERINGS if (n, o) in MU_BOUNDS]))
+    within, tests = data.draw(st.sampled_from(_intersections(n)))
+    local = census._mu_types(n, ordering, within)
+    assume(any(local.wild))
+    doublings = data.draw(st.integers(0, 4))
+    b0 = MU_BOUNDS[n, ordering] ** data.draw(st.floats(0.0, 1.0)) / 2**doublings
+    rungs = [b0 * 2**i for i in range(doublings + 1)]
+    measures = sorted(m for cls, m in _mu_stream(n, ordering) if all(test(cls.a) for test in tests))
+    want = [bisect.bisect_right(measures, B) for B in rungs]
+    assert census._count_types(local, [census._disc_bound(B, n, ordering) for B in rungs]) == want
 
 
 @given(st.data())
@@ -361,13 +387,34 @@ def test_enumerators_reject_infeasible_bounds(no_numpy_alloc):
 
 
 def test_count_past_the_sieve_names_the_disc_cap(no_numpy_alloc):
-    # mu_2 darda to 1e3 * 2^30: the top |disc| cap passes the counter's
-    # int64 range, so the ladder streams, and its primes pass the sieve
+    # mu_2 darda to 1e3 * 2^30: the top |disc| cap, about 1.2e24, is past
+    # int64, and its table of about 1e12 entries past physical memory
     spec = LadderSpec(("mu", 2), "T", "darda", b0=1e3, doublings=30)
     cap = census._disc_bound(spec.rungs()[-1], 2, "darda")
-    with pytest.raises(ValueError, match="sieve limit") as err:
+    assert cap >= 2**62
+    with pytest.raises(ValueError, match="physical memory") as err:
         count(spec)
     assert f"|disc| cap {cap}" in str(err.value)
+
+
+def test_bounds_past_the_float_range_are_value_errors():
+    # a top rung b0 * 2^doublings that overflows to inf is named, not failed
+    # deep in a counter; the largest finite one passes this check
+    with pytest.raises(ValueError, match="top rung"):
+        count(LadderSpec(("mu", 2), "T", "disc_exact", b0=1e300, doublings=30))
+    with pytest.raises(ValueError, match="top rung"):
+        count(LadderSpec(("mu", 2), "T", "disc_exact", b0=2.0**1023, doublings=1))
+    with pytest.raises(ValueError, match="physical memory"):
+        count(LadderSpec(("mu", 2), "T", "disc_exact", b0=math.nextafter(2.0**1023, 0),
+                         doublings=1))
+    # more than 1023 doublings of a tiny b0 stay finite: the rungs are exact
+    ladder = count(LadderSpec(("mu", 2), "T", "disc_exact", b0=2.0**-1060, doublings=1064))
+    assert len(ladder.points) == 1065 and ladder.points[-1] == (16.0, len(_brute_mu(2, 16)))
+    for stream in (lambda B: enumerate_mu(2, B), lambda B: enumerate_mu(4, B, "darda"),
+                   lambda B: enumerate_cyclic(3, B)):
+        for B in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="Bmax"):
+                list(stream(B))
 
 
 def _streamed_count(key, B):
@@ -503,33 +550,52 @@ def test_count_mu_darda_boundaries(n):
     assert want[1] > want[0]
 
 
-def test_count_streams_past_the_int64_range(monkeypatch):
-    # a top rung whose |disc| cap reaches 2^62 streams, as the M twins of
-    # the mu keys do, and never overflows
-    streamed = []
+@pytest.mark.parametrize("n", [7, 9, 11, 12])
+def test_count_past_the_int64_range_matches_enumerate_mu(n):
+    # a ladder whose top |disc| cap reaches 2^62 counts in Python ints, T
+    # and M alike, and its lower rungs agree with the stream too
+    stream = list(enumerate_mu(n, 2.0**62, "disc_tame"))
+    for counter, keep in (("T", lambda cls: True), ("M", is_irreducible)):
+        ladder = count(LadderSpec(("mu", n), counter, "disc_tame", b0=2.0**56, doublings=6))
+        measures = sorted(m for cls, m in stream if keep(cls))
+        want = tuple((B, bisect.bisect_right(measures, B)) for B, _ in ladder.points)
+        assert ladder.points == want
+    assert census._disc_bound(ladder.points[-1][0], n, "disc_tame") >= census._INT64_TOP
 
-    def spy(spec, rungs):
-        streamed.append(spec)
-        return [-1] * len(rungs)
 
-    monkeypatch.setattr(census, "_count_mu_streaming", spy)
-    # 3.0e23 = 8192^6 for mu_3 darda; 4e18 is just inside the range
-    for target, ordering, b0, streams in [(("mu", 7), "disc_tame", 1e19, True),
-                                          (("mu", 3), "darda", 8192.0, True),
-                                          (("mu", 7), "disc_tame", 4e18, False)]:
-        spec = LadderSpec(target, "T", ordering, b0=b0, doublings=0)
-        (_, c), = count(spec).points
-        assert (streamed[-1:] == [spec]) == streams and (c == -1) == streams, spec
-    assert census._count_mu(7, "disc_tame", [1e19]) is None
+def test_count_cyclic_past_the_int64_range_matches_enumerate_cyclic():
+    # cyclic quintics to 1e19, past 2^62, in Python ints
+    discs = sorted(d for _, d in enumerate_cyclic(5, 1e19))
+    ladder = count(LadderSpec(("cyclic", 5), "M", "disc_exact", b0=1e19 / 2**8, doublings=8))
+    assert ladder.points == tuple((B, bisect.bisect_right(discs, B)) for B, _ in ladder.points)
+    assert ladder.points[-1][1] == len(discs) > 0
 
-    # cyclic quintics read the top cap alone: 1e19 streams, and 1e14, whose
-    # cap times the wild cost 5^8 of conductor 25 passes 2^62, does not
-    monkeypatch.setattr(census, "enumerate_cyclic",
-                        lambda n, B: streamed.append((n, B)) or iter(()))
-    for b0, streams in [(1e19, True), (1e14, False), (1e12, False)]:
-        (_, c), = count(LadderSpec(("cyclic", 5), "M", "disc_exact", b0=b0, doublings=0)).points
-        assert (streamed[-1] == (5, b0)) == streams and (c == 0) == streams, b0
-    assert census._count_cyclic(5, [1e19]) is None
+
+def test_count_in_python_ints_matches_int64(monkeypatch):
+    # every key's test ladder, counted once in int64 and once with every
+    # cap in Python ints (dtype object): the same lines give the same counts
+    ladders = [(key, _top(key) / 2**8) for key in FAST_COUNTERS] + BOUNDARY_LADDERS
+    specs = [LadderSpec((kind, n), c, o, b0=b0, doublings=8) for (kind, n, c, o), b0 in ladders]
+    want = [count(spec).points for spec in specs]
+    monkeypatch.setattr(census, "_INT64_TOP", 0)
+    assert [count(spec).points for spec in specs] == want
+
+
+@given(m=st.integers(1, 10), roots=st.lists(st.tuples(st.integers(0, 2**55), st.integers(-1, 1)),
+                                           min_size=1, max_size=20),
+       small=st.lists(st.integers(0, 2**62 - 1), max_size=20))
+def test_iroot_is_exact_in_int64_and_python_ints(m, roots, small):
+    # perfect powers r^m and their neighbours, where a float root is most
+    # often off, in Python ints up to 2^550; and any y below 2^62 in both
+    # dtypes.  The roots fit int64.
+    def exact(y):
+        return y if m == 1 else int_root(y, m) if y else 0
+
+    ys = [max(r**m + d, 0) for r, d in roots] + small
+    for ys, dtypes in ((ys, (object,)), ([y for y in ys if y < 2**62], (object, np.int64))):
+        for dtype in dtypes:
+            got = census._iroot(np.array(ys, dtype=dtype), m)
+            assert got.dtype == np.int64 and got.tolist() == [exact(y) for y in ys], dtype
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -562,20 +628,9 @@ def test_count_cyclic_matches_enumeration():
         assert c == sum(1 for _ in enumerate_cyclic(3, B))
 
 
-# a mu ladder that still streams: M for composite n
-STREAMED = ("mu", 6, "M", "disc_tame")
-
-
-def test_count_jobs_deterministic():
-    assert STREAMED not in FAST_COUNTERS
-    base = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=1)
-    split = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=3)
-    assert count(base).points == count(split).points
-
-
 def test_count_m_counter_drops_reducible():
-    t = count(LadderSpec(("mu", 2), "T", "disc_exact", b0=10, doublings=8, jobs=1))
-    m = count(LadderSpec(("mu", 2), "M", "disc_exact", b0=10, doublings=8, jobs=1))
+    t = count(LadderSpec(("mu", 2), "T", "disc_exact", b0=10, doublings=8))
+    m = count(LadderSpec(("mu", 2), "M", "disc_exact", b0=10, doublings=8))
     assert all(cm < ct for (_, ct), (_, cm) in zip(t.points, m.points))
 
 
@@ -584,44 +639,22 @@ def test_count_validation():
         count(LadderSpec(("cyclic", 3), "T", "disc_exact"))
     with pytest.raises(ValueError):
         count(LadderSpec(("weird", 3), "T", "disc_exact"))
-    # keys that are neither in the table nor the M twin of a mu key in it
-    # raise before anything is enumerated: cyclic fields are measured by
-    # |disc| alone, and mu_4 has no exact wild exponents
+    # keys outside the table raise before anything is counted: cyclic fields
+    # are measured by |disc| alone, and mu_4 has no exact wild exponents
     for target, counter, ordering in ((("cyclic", 3), "M", "darda"),
                                       (("cyclic", 3), "M", "disc_tame"),
                                       (("mu", 4), "T", "disc_exact"),
                                       (("mu", 13), "T", "disc_tame")):
         with pytest.raises(ValueError, match=f"{target[0]}:{target[1]}, counter {counter}"):
             count(LadderSpec(target, counter, ordering))
-    # no rungs, on the fast route and on the streaming one
-    assert STREAMED not in FAST_COUNTERS
+    # every mu key has its M twin in the table, composite n included
+    assert {(k, n, "M", o) for k, n, _, o in FAST_COUNTERS if k == "mu"} <= set(FAST_COUNTERS)
+    assert {("mu", n, "M", o) for n in (4, 6, 8, 9, 10, 12)
+            for o in ("disc_tame", "darda")} <= set(FAST_COUNTERS)
+    # no rungs
     for target, counter, ordering in ((("mu", 2), "T", "disc_exact"), (("mu", 6), "M", "disc_tame")):
         with pytest.raises(ValueError, match="doublings"):
             count(LadderSpec(target, counter, ordering, doublings=-1))
-
-
-def test_count_caps_worker_processes(monkeypatch):
-    # every partition is still counted, on no more workers than cores
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    assert STREAMED not in FAST_COUNTERS
-    spec = LadderSpec(("mu", 6), "M", "disc_tame", b0=10, doublings=10, jobs=64)
-    assert count(spec).points == count(replace(spec, jobs=1)).points
-    assert seen == [min(64, os.cpu_count() or 1)]
 
 
 def test_ladder_csv_roundtrip(tmp_path):

@@ -42,8 +42,8 @@ import stacky, stacky.cli
 
 
 def test_import_leaves_out_process_pools():
-    # only a streamed ladder with jobs > 1 needs concurrent.futures, and with
-    # it multiprocessing and socket: importing the package and the CLI loads none
+    # no route needs concurrent.futures, and with it multiprocessing and
+    # socket: importing the package and the CLI loads none
     code = """
 import sys
 import stacky, stacky.cli
@@ -308,11 +308,12 @@ def test_census_bmax_equal_to_b0_prints_one_rung(capsys):
 
 
 def test_census_infeasible_sieve_exits_1(capsys, no_numpy_alloc):
-    # mu_3 darda to 8192 needs the primes up to 7.5e11
+    # mu_3 darda to 8192 puts the |disc| cap at 3.0e23: its table would
+    # pass physical memory, and the counter says so before allocating
     code, out, err = run(capsys, "census", "--target", "mu:3", "--order", "darda",
                          "--B0", "8192", "--Bmax", "8192")
     assert code == 1
-    assert "sieve limit" in err
+    assert "|disc| cap 302231454903658400972800 needs more than physical memory" in err
 
 
 def test_census_darda_cap_past_the_float_range_exits_1(capsys):
@@ -323,38 +324,43 @@ def test_census_darda_cap_past_the_float_range_exits_1(capsys):
     assert err.startswith("error: ") and "2^1023" in err and "Traceback" not in err
 
 
-def test_stacky_jobs_env(capsys, monkeypatch):
-    seen = []
-    real_count = census.count
-    monkeypatch.setattr(census, "count", lambda spec: seen.append(spec.jobs) or real_count(spec))
-    monkeypatch.setenv("STACKY_JOBS", "3")
-    for flags in ([], ["--jobs", "1"]):
-        code, _, _ = run(capsys, "census", "--target", "mu:2", "--Bmax", "1e4", *flags)
-        assert code == 0
-    assert seen == [3, 1]
-    # a bad value is a usage error of census alone
-    monkeypatch.setenv("STACKY_JOBS", "abc")
+def test_census_has_no_jobs_option(capsys, monkeypatch):
+    # every ladder is counted in one process: --jobs is a usage error, and
+    # STACKY_JOBS is not read, whatever it holds
     with pytest.raises(SystemExit) as exc:
-        main(["census", "--target", "mu:2"])
+        main(["census", "--target", "mu:6", "--counter", "M", "--order", "tame", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
-    obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
-    assert obj["value"] == 675
+    monkeypatch.setenv("STACKY_JOBS", "abc")
+    code, out, _ = run(capsys, "census", "--target", "mu:6", "--counter", "M", "--order", "tame",
+                       "--B0", "1e3", "--Bmax", "8e3")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{b!r},{c}" for b, c in census.count(census.LadderSpec(
+        ("mu", 6), "M", "disc_tame", b0=1e3, doublings=3)).points]
 
 
-def test_parser_built_once_per_jobs_env(capsys, monkeypatch):
+def test_parser_built_once(capsys, monkeypatch):
+    # main parses with one parser, built on its first call and kept
     built = []
     real_build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
     cli._parser.cache_clear()
     try:
-        for jobs in ("2", "2", "2", "5", "2"):
-            monkeypatch.setenv("STACKY_JOBS", jobs)
+        for _ in range(4):
             obj = run_json(capsys, "kummer", "disc", "--n", "3", "--a", "5", "--json")
             assert obj["value"] == 675
-        assert len(built) == 2
+        assert run(capsys, "census", "--target", "mu:2", "--Bmax", "1e4")[0] == 0
+        assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+def test_census_top_rung_past_the_float_range_exits_1(capsys):
+    # B0 * 2^round(log2(Bmax / B0)) = 2.4e308 overflows to inf
+    code, out, err = run(capsys, "census", "--target", "mu:2", "--B0", "1.2e308",
+                         "--Bmax", "1.79e308")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "top rung" in err
 
 
 def test_usage_error_exits_2(capsys):
@@ -384,7 +390,7 @@ def test_config_file(capsys, tmp_path):
     cfg.write_text("json = true\nmode = tame\n")
     obj = run_json(capsys, "--config", str(cfg), "kummer", "disc", "--n", "4", "--a", "6")
     assert obj["value"] == 27
-    for bad in ("order = bogus", "counter = X", "jobs = two"):
+    for bad in ("order = bogus", "counter = X"):
         cfg.write_text(bad + "\n")
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "census", "--target", "mu:2", "--Bmax", "1e4"])

@@ -2,10 +2,13 @@
 queries return, so that two checkouts can be compared entry by entry.  A
 correctness check, not a benchmark: nothing is timed.
 
-The census section has three kinds of entries:
+The census section has four kinds of entries:
 
 - ``count()`` for every ``FAST_COUNTERS`` key, on the ladders b0 * 2^i of
   ``LADDERS``: the counts, or the exception's type and message;
+- ``count()`` over the whole key grid, kinds mu and cyclic, n = 2..12,
+  counters T and M and every ordering, on the one small ladder of
+  ``GRID_LADDER``: the counts, or the rejection's type and message;
 - ``enumerate_mu(n, B, ordering)`` for n = 2..6 under every ordering it
   takes, at the |disc| caps of ``ENUM_CAPS``: the sorted multiset of
   (a, measure) pairs;
@@ -41,6 +44,7 @@ themselves first, one per line, so that two dumps can be compared with
 
 import argparse
 import hashlib
+import itertools
 import pathlib
 import random
 import sys
@@ -61,6 +65,10 @@ from stacky.permgrp import closure, conjugacy_classes, parse_group_spec  # noqa:
 
 # (b0, doublings): the top rungs are 1.1e12, 7.8e9 and 1.7e13
 LADDERS = ((1e3, 30), (7.3, 30), (1e6, 24))
+# (b0, doublings) for the key grid: a top rung of 655360, which a checkout
+# that streams some keys (mu:n M for composite n, caps past 2^62) also
+# finishes in seconds
+GRID_LADDER = (10, 16)
 # |disc| caps per n; darda bounds are the cap ** (1/N)
 ENUM_CAPS = {2: 3 * 10**4, 3: 10**6, 4: 10**7, 5: 10**9, 6: 10**9}
 # |disc| bounds per n, about 0.3 s in all; 10: 1e14 reaches conductors 75
@@ -101,6 +109,12 @@ def census_entries():
             name = f"count {kind}:{n} {counter} {ordering} b0={b0!r} doublings={doublings}"
             yield name, _recorded(lambda: [c for _, c in count(
                 LadderSpec((kind, n), counter, ordering, b0=b0, doublings=doublings)).points])
+    b0, doublings = GRID_LADDER
+    for kind, n, counter, ordering in itertools.product(("mu", "cyclic"), range(2, 13), "TM",
+                                                        ORDERINGS):
+        name = f"count grid {kind}:{n} {counter} {ordering} b0={b0!r} doublings={doublings}"
+        yield name, _recorded(lambda: [c for _, c in count(
+            LadderSpec((kind, n), counter, ordering, b0=b0, doublings=doublings)).points])
     for n, cap in ENUM_CAPS.items():
         for ordering in ORDERINGS:
             if ordering == "disc_exact" and n not in EXACT_WILD_DEGREES:
