@@ -66,23 +66,32 @@ _RACE_BITS = 91
 _RHO_STEPS = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FactoredInteger:
-    """A nonzero integer as sign times an ordered product of prime powers."""
+    """A nonzero integer as sign times an ordered product of prime powers.
+
+    Every construction, ``dataclasses.replace`` included, checks the sign,
+    the prime order and the exponents.  Like the other frozen value types of
+    ``kummer`` and ``heights``, its ``__init__`` writes the fields straight
+    into the instance dict: the generated frozen ``__init__`` pays for one
+    ``object.__setattr__`` call a field."""
 
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
             last = p
+        d = self.__dict__
+        d["sign"] = sign
+        d["factors"] = factors
 
     @property
     def value(self) -> int:

@@ -31,6 +31,7 @@ import csv
 import itertools
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
@@ -436,8 +437,9 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     one numpy batch.  Otherwise C int64 class rows to the largest query are
     built one prime of every d at a time.  h(p^j) = f(p^j) - (leading types
     at p) h(p^(j - m)) vanishes for j <= m, so its supports are few; they
-    are swept one prime more at a time.  Past physical memory the counter
-    raises ValueError naming the top cap instead of allocating.
+    are swept one prime more at a time.  Past physical memory, in the table
+    or in the sweep's supports, the counter raises ValueError naming the top
+    cap instead of allocating.
     """
     n, types, M, rows = local
     top = max(caps)
@@ -476,9 +478,13 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     # (the sieve's own peak), 26-37 for one class row (the sieve, the live d,
     # V and a round's arrays) and 53 for C = 3; the guard keeps 32 a class
     # row, so that no ladder changes route
-    if (Z + 1) * 32 * C > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if (Z + 1) * 32 * C > memory:
         raise ValueError(f"|disc| cap {top} needs more than physical memory")
     dtype = np.int64 if top < _INT64_TOP else object
+    # a support the sweep keeps holds W, K and R, 8 bytes each, and past
+    # int64 the Python int of K, no larger than top
+    support_bytes = 24 + (sys.getsizeof(top) if dtype is object else 0)
 
     # p^j for each j with h(p^j) != 0, over the same primes prime to n:
     # index i is one prime, weighted by h(p^j) at its residue
@@ -492,7 +498,7 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     # wild cost; a support of weight 0 counts nothing
     W, K, I, R = (np.array(x) for x in zip(*((k, c, -1, t) for t, c, k in wild)))
     K = K.astype(dtype)
-    sup = []
+    sup, held = [], len(K) * support_bytes
     while len(K):
         sup.append((W, K, R))
         y, new = top // K, [(W[:0], K[:0], I[:0], R[:0])]
@@ -502,6 +508,9 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
                 cnt = np.maximum(np.searchsorted(pj, y, side="right") - I - 1, 0)
                 rep, i = _ranges(cnt, I + 1)
                 new.append((W[rep] * w[i], K[rep] * pj[i], i, R[rep]))
+        held += sum(len(k) for _, k, _, _ in new) * support_bytes
+        if held > memory:
+            raise ValueError(f"|disc| cap {top} needs more than physical memory")
         W, K, I, R = (np.concatenate(x) for x in zip(*new))
         W, K, I, R = (x[nz] for nz in [W != 0] for x in (W, K, I, R))
     # one term per support q = k c: its weight times the tame parts of class

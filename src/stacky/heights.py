@@ -42,13 +42,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HeightValue:
     """A logarithmic height, with an exact base^power form when available."""
 
     log_value: float
     exact_base: FactoredInteger | None = None
     exact_power: Fraction | None = None
+
+    def __init__(self, log_value: float, exact_base: FactoredInteger | None = None,
+                 exact_power: Fraction | None = None):
+        d = self.__dict__
+        d["log_value"] = log_value
+        d["exact_base"] = exact_base
+        d["exact_power"] = exact_power
 
     def to_json(self) -> dict:
         out: dict = {"log_value": self.log_value}
@@ -60,15 +67,18 @@ class HeightValue:
         return out
 
 
-_ESZB_POWER = Fraction(1, 2)
+# each power as (Fraction, its float), the float taken once
+_ESZB_POWER = (Fraction(1, 2), float(Fraction(1, 2)))
+_RAISING_POWER = (Fraction(1), float(Fraction(1)))
 
 
-def _disc_power(cls: KummerClass, mode: str, power: Fraction):
+def _disc_power(cls: KummerClass, mode: str, power: tuple[Fraction, float]):
     """|disc|^power, read off the class's one discriminant per mode, or a
     (lo, hi) pair when the wild exponents are only an interval."""
+    fraction, scale = power
     res = discriminant(cls, mode)
-    lo = HeightValue(float(power) * res.log_lo, res.lo, power)
-    return lo if res.is_exact else (lo, HeightValue(float(power) * res.log_hi, res.hi, power))
+    lo = HeightValue(scale * res.log_lo, res.lo, fraction)
+    return lo if res.is_exact else (lo, HeightValue(scale * res.log_hi, res.hi, fraction))
 
 
 def eszb_height(cls: KummerClass, mode: str = "exact"):
@@ -84,8 +94,9 @@ def darda_denominator(n: int) -> int:
 
 
 @functools.cache
-def _darda_power(n: int) -> Fraction:
-    return Fraction(1, darda_denominator(n))
+def _darda_power(n: int) -> tuple[Fraction, float]:
+    power = Fraction(1, darda_denominator(n))
+    return power, float(power)
 
 
 def darda_local(cls: KummerClass, place, mode: str = "exact") -> float:
@@ -171,7 +182,7 @@ def abc_invariants(c: RaisingFunction) -> tuple[Fraction, int]:
 
 def raising_height(cls: KummerClass, mode: str = "exact") -> HeightValue:
     """Height for the discriminant raising datum: exactly |disc|."""
-    h = _disc_power(cls, mode, Fraction(1))
+    h = _disc_power(cls, mode, _RAISING_POWER)
     if isinstance(h, tuple):
         raise ValueError("raising height needs exact local exponents")
     return h
@@ -179,16 +190,15 @@ def raising_height(cls: KummerClass, mode: str = "exact") -> HeightValue:
 
 def edd(cls: KummerClass, mode: str = "exact") -> float:
     """Sum of log p over the primes ramified in the torsor (p | disc)."""
-    res = discriminant(cls, mode)
-    return sum(math.log(d.p) for d in res.locals if d.lo > 0)
+    return discriminant(cls, mode).log_ramified
 
 
 def D_aprime(cls: KummerClass, a_prime: float, mode: str = "exact") -> float:
     """a' * (1/2) log |disc| - edd, the height-vs-ramification test function."""
-    h = eszb_height(cls, mode)
-    if isinstance(h, tuple):
+    res = discriminant(cls, mode)
+    if not res.is_exact:
         raise ValueError("D_aprime needs a point value; use exact or tame mode")
-    return a_prime * h.log_value - edd(cls, mode)
+    return a_prime * (_ESZB_POWER[1] * res.log_lo) - res.log_ramified
 
 
 def a_eszb_closed(n: int) -> Fraction:

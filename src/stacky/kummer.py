@@ -31,12 +31,17 @@ MODES = ("exact", "tame", "interval")
 EXACT_WILD_DEGREES = (2, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KummerClass:
     """Canonical n-th-power-free representative of a class in Q^x/(Q^x)^n."""
 
     n: int
     a: FactoredInteger
+
+    def __init__(self, n: int, a: FactoredInteger):
+        d = self.__dict__
+        d["n"] = n
+        d["a"] = a
 
     @property
     def r(self) -> int:
@@ -49,7 +54,8 @@ class KummerClass:
     @cached_property
     def _discs(self) -> dict[str, "DiscriminantResult"]:
         """The discriminant of each mode ``discriminant`` has built for this
-        class, made on first use; equality and the hash read n and a only.
+        class, made on first use, so that an enumerated class that is never
+        measured builds no dict; equality and the hash read n and a only.
         Two threads that race on one mode build equal results."""
         return {}
 
@@ -93,7 +99,7 @@ def _in_minus_four_fourth_powers(a: FactoredInteger) -> bool:
     return a.valuation(2) % 4 == 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalDiscData:
     """Local discriminant exponent at p: exact when lo == hi."""
 
@@ -102,6 +108,14 @@ class LocalDiscData:
     lo: int
     hi: int
     tame_d: int | None = None
+
+    def __init__(self, p: int, kind: str, lo: int, hi: int, tame_d: int | None = None):
+        d = self.__dict__
+        d["p"] = p
+        d["kind"] = kind
+        d["lo"] = lo
+        d["hi"] = hi
+        d["tame_d"] = tame_d
 
     @property
     def exact(self) -> bool:
@@ -114,32 +128,44 @@ class LocalDiscData:
         return self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscriminantResult:
+    """|disc| as a product of local exponents, in prime order.
+
+    The pass that builds it also sets what every height reads, none of
+    them fields: ``lo`` and ``hi``, the two ends as ``FactoredInteger``
+    values (one object when the result is exact); ``is_exact``; ``log_lo``
+    and ``log_hi``, their logs; and ``log_ramified``, the sum of log p over
+    the primes with a positive low exponent.  Each log is ``sum`` over the
+    primes in order, so every height that reads it gets the same float."""
+
     exactness: str  # "exact" or "tame-exact-wild-interval"
     locals: tuple[LocalDiscData, ...]
 
-    @cached_property
-    def lo(self) -> FactoredInteger:
-        return FactoredInteger(1, tuple((d.p, d.lo) for d in self.locals if d.lo))
-
-    @cached_property
-    def hi(self) -> FactoredInteger:
-        return FactoredInteger(1, tuple((d.p, d.hi) for d in self.locals if d.hi))
-
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(d.exact for d in self.locals)
-
-    @cached_property
-    def log_lo(self) -> float:
-        """log of the low end, summed in prime order, so every height that
-        reads it gets the same float."""
-        return sum(d.lo * math.log(d.p) for d in self.locals)
-
-    @cached_property
-    def log_hi(self) -> float:
-        return sum(d.hi * math.log(d.p) for d in self.locals)
+    def __init__(self, exactness: str, locals: tuple[LocalDiscData, ...]):
+        lo, hi, log_lo, log_hi, ramified = [], [], [], [], []
+        exact = True
+        for loc in locals:
+            p, e, f = loc.p, loc.lo, loc.hi
+            log_p = math.log(p)
+            if e:
+                lo.append((p, e))
+                ramified.append(log_p)
+            if f:
+                hi.append((p, f))
+            if e != f:
+                exact = False
+            log_lo.append(e * log_p)
+            log_hi.append(f * log_p)
+        d = self.__dict__
+        d["exactness"] = exactness
+        d["locals"] = locals
+        d["is_exact"] = exact
+        d["lo"] = FactoredInteger(1, tuple(lo))
+        d["hi"] = d["lo"] if exact else FactoredInteger(1, tuple(hi))
+        d["log_lo"] = sum(log_lo)
+        d["log_hi"] = sum(log_hi)
+        d["log_ramified"] = sum(ramified)
 
     @property
     def value(self) -> FactoredInteger:
@@ -226,17 +252,23 @@ def discriminant(cls: KummerClass, mode: str = "exact") -> DiscriminantResult:
 
     A class computes its discriminant once per mode and keeps it, so a
     second call returns the same object; every height in ``heights`` reads
-    it.  A call that raises keeps nothing.
+    it.  The tame result keeps the tame locals of a kept exact or interval
+    one, which are those a tame build makes.  A call that raises keeps
+    nothing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if (res := cls._discs.get(mode)) is not None:
+    discs = cls._discs
+    if (res := discs.get(mode)) is not None:
         return res
-    n = cls.n
-    locals_ = [] if mode == "tame" else [wild_local(cls, p, mode) for p in _primes_of(n)]
-    locals_ += [_tame(n, p, e) for p, e in cls.a.factors if n % p]
-    locals_.sort(key=lambda d: d.p)
+    if mode == "tame" and (kept := discs.get("exact") or discs.get("interval")):
+        locals_ = tuple(d for d in kept.locals if d.kind == "tame")
+    else:
+        n = cls.n
+        locals_ = [] if mode == "tame" else [wild_local(cls, p, mode) for p in _primes_of(n)]
+        locals_ += [_tame(n, p, e) for p, e in cls.a.factors if n % p]
+        locals_.sort(key=lambda d: d.p)
+        locals_ = tuple(d for d in locals_ if d.hi > 0)
     exactness = "exact" if mode == "exact" else "tame-exact-wild-interval"
-    res = cls._discs[mode] = DiscriminantResult(
-        exactness, tuple(d for d in locals_ if d.hi > 0))
+    res = discs[mode] = DiscriminantResult(exactness, locals_)
     return res

@@ -232,11 +232,11 @@ def test_factored_integer_json_roundtrip():
 
 
 def test_factored_integer_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
         FactoredInteger(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="primes must be strictly increasing"):
         FactoredInteger(1, ((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exponents must be >= 1"):
         FactoredInteger(1, ((2, 0),))
 
 

@@ -363,6 +363,18 @@ def test_count_cyclic_refuses_tables_past_physical_memory(small_memory):
         count(LadderSpec(("cyclic", 3), "M", "disc_exact", b0=1e12, doublings=0))
 
 
+@pytest.mark.parametrize("b0", [1e18, 1e19])  # int64, then Python-int supports
+def test_count_refuses_sweeps_past_physical_memory(monkeypatch, b0):
+    # with 4 MiB the mu_4 table (about 3e4 entries of 32 bytes) fits, so the
+    # h sweep starts, but its supports (about cap^(1/3) of them) do not:
+    # the counter raises while sweeping, before it concatenates them
+    monkeypatch.setattr(os, "sysconf", lambda name: 1024 if name == "SC_PHYS_PAGES" else 4096)
+    with mock.patch.object(census, "_ranges", wraps=census._ranges) as sweep:
+        with pytest.raises(ValueError, match="physical memory"):
+            count(LadderSpec(("mu", 4), "T", "disc_tame", b0=b0, doublings=0))
+    assert sweep.called
+
+
 @pytest.mark.parametrize("target,counter,ordering", [
     (("mu", 2), "T", "disc_exact"),
     (("mu", 4), "T", "disc_tame"),

@@ -1,10 +1,19 @@
+import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stacky.arith import factor
+from stacky.arith import FactoredInteger, factor
+from stacky.heights import HeightValue, edd
 from stacky.kummer import (
+    EXACT_WILD_DEGREES,
+    DiscriminantResult,
     KummerClass,
+    LocalDiscData,
     canonical,
     discriminant,
     is_irreducible,
@@ -154,3 +163,77 @@ def test_kept_discriminants_leave_equality_and_hash():
     fresh = KummerClass(3, factor(12))
     assert cls == fresh and hash(cls) == hash(fresh)
     assert len({cls, fresh}) == 1
+
+
+# primes of a: every prime dividing some n <= 12, and primes prime to all n
+KUMMER_PRIMES = (2, 3, 5, 7, 11, 13, 101, 65537)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 12), st.sampled_from((1, -1)),
+       st.dictionaries(st.sampled_from(KUMMER_PRIMES), st.integers(1, 30), max_size=5),
+       st.none() | st.integers(2, 10**6))
+def test_discriminant_in_every_mode_order_matches_a_fresh_build(n, sign, powers, den):
+    a = sign * math.prod(p**e for p, e in powers.items())
+    modes = ("exact", "tame", "interval") if n in EXACT_WILD_DEGREES else ("tame", "interval")
+    for order in itertools.permutations(modes):
+        cls = canonical(a, n, den)
+        results = [discriminant(cls, mode) for mode in order]
+        assert len({id(res) for res in results}) == len(order)
+        for mode, res in zip(order, results):
+            # a tame result read off a kept one equals one built first
+            assert res == discriminant(canonical(a, n, den), mode), (order, mode)
+            assert discriminant(cls, mode) is res
+            # what the build sets, against the formulas it replaced
+            assert res.lo == FactoredInteger(1, tuple((d.p, d.lo) for d in res.locals if d.lo))
+            assert res.hi == FactoredInteger(1, tuple((d.p, d.hi) for d in res.locals if d.hi))
+            assert res.is_exact == all(d.exact for d in res.locals)
+            assert res.log_lo == sum(d.lo * math.log(d.p) for d in res.locals)
+            assert res.log_hi == sum(d.hi * math.log(d.p) for d in res.locals)
+            assert edd(cls, mode) == sum(math.log(d.p) for d in res.locals if d.lo > 0)
+
+
+def test_value_types_keep_the_dataclass_contract():
+    fi = FactoredInteger(-1, ((2, 3), (5, 1)))
+    cls = KummerClass(4, fi)
+    tame = LocalDiscData(5, "tame", 3, 3, tame_d=1)
+    res = DiscriminantResult("tame-exact-wild-interval",
+                             (LocalDiscData(2, "wild", 0, 17), tame))
+    height = HeightValue(1.5, fi, Fraction(1, 2))
+    reprs = {
+        fi: "FactoredInteger(sign=-1, factors=((2, 3), (5, 1)))",
+        cls: "KummerClass(n=4, a=FactoredInteger(sign=-1, factors=((2, 3), (5, 1))))",
+        tame: "LocalDiscData(p=5, kind='tame', lo=3, hi=3, tame_d=1)",
+        res: "DiscriminantResult(exactness='tame-exact-wild-interval', locals=("
+             "LocalDiscData(p=2, kind='wild', lo=0, hi=17, tame_d=None), "
+             "LocalDiscData(p=5, kind='tame', lo=3, hi=3, tame_d=1)))",
+        height: "HeightValue(log_value=1.5, exact_base=FactoredInteger(sign=-1, "
+                "factors=((2, 3), (5, 1))), exact_power=Fraction(1, 2))",
+    }
+    fields = {fi: ("sign", "factors"), cls: ("n", "a"),
+              tame: ("p", "kind", "lo", "hi", "tame_d"), res: ("exactness", "locals"),
+              height: ("log_value", "exact_base", "exact_power")}
+    for value, want in reprs.items():
+        assert repr(value) == want
+        names = tuple(f.name for f in dataclasses.fields(value))
+        assert names == fields[value]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+        # a rebuilt copy is equal and hashes equal; the defaults still apply
+        copy = dataclasses.replace(value)
+        assert copy == value and hash(copy) == hash(value) and copy is not value
+    assert LocalDiscData(2, "wild", 1, 1).tame_d is None
+    assert HeightValue(0.5) == HeightValue(0.5, None, None)
+    # replace runs the build again: the checks, and the ends and log sums
+    assert dataclasses.replace(fi, sign=1).value == 40
+    with pytest.raises(ValueError, match="sign must be"):
+        dataclasses.replace(fi, sign=0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataclasses.replace(fi, factors=((5, 1), (2, 3)))
+    with pytest.raises(ValueError, match="exponents must be"):
+        dataclasses.replace(fi, factors=((2, 0),))
+    narrowed = dataclasses.replace(res, locals=(tame,))
+    assert (narrowed.lo, narrowed.hi, narrowed.is_exact) == (factor(125), factor(125), True)
+    assert narrowed.log_lo == 3 * math.log(5) and narrowed.log_ramified == math.log(5)
+    assert (res.lo.value, res.hi.value, res.is_exact) == (125, 2**17 * 125, False)

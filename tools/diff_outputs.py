@@ -24,7 +24,10 @@ interval) the discriminant's JSON, the eszb and darda heights, ``edd``,
 the raising height (exact mode only) and ``darda_local`` at "inf" and at
 each prime of the class's a and of n (or the exception it raises), then
 all of these a second time on the same class, after every mode was asked
-for once, and last ``D_aprime`` at a' = ``a_eszb_closed(n)``.
+for once, and ``D_aprime`` at a' = ``a_eszb_closed(n)``.  Last, a fresh
+class of the same a, n and den is asked for the exact (n in {2, 3}) or
+interval discriminant first and then for the tame one, the tame eszb and
+darda heights, the tame ``edd`` and ``D_aprime``.
 
 The factor section takes seeded products of sympy primes: of about 70,
 91 and 140 bits, the last with factors of 20 and 30 bits that rho splits
@@ -159,7 +162,15 @@ def kummer_entries():
                     if exact:
                         out.append(raising_height(cls, mode).to_json())
                     out += [_recorded(darda_local, cls, place, mode) for place in places]
-                out.append(D_aprime(cls, float(a_eszb_closed(n)), "exact" if exact else "tame"))
+                point_mode = "exact" if exact else "tame"
+                out.append(D_aprime(cls, float(a_eszb_closed(n)), point_mode))
+                # a fresh class asked for its wide mode first, so that its
+                # tame discriminant is the one read off the kept result
+                fresh = canonical(num, n, den)
+                out += [discriminant(fresh, "exact" if exact else "interval").to_json(),
+                        discriminant(fresh, "tame").to_json(), _height(eszb_height(fresh, "tame")),
+                        _height(darda_global(fresh, "tame")), edd(fresh, "tame"),
+                        D_aprime(fresh, float(a_eszb_closed(n)), point_mode)]
                 yield f"kummer a={a} n={n} den={den}", out
 
 
