@@ -3,9 +3,10 @@ unit groups, and cyclotomic signatures.
 
 Everything here works on plain Python integers and :class:`FactoredInteger`
 values; all functions are pure and safe to call concurrently.  The caches,
-the trial-division and screen primes, the SQUFOF multiplier table and the
-primes of each exponent n, are read-only and built on first use, never at
-import; two threads that race to build one build the same value.
+the primes below 2**16 (of which the trial-division and screen primes are
+slices), the SQUFOF multiplier table and the primes of each exponent n,
+are read-only and built on first use, never at import; two threads that
+race to build one build the same value.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "smallest_prime_factor",
     "primes_up_to",
     "sieve",
+    "mobius",
 ]
 
 # Python trial division stops here, with an early exit once p^2 exceeds
@@ -227,7 +229,7 @@ def _pollard_rho(n: int) -> int:
 def _multipliers() -> np.ndarray:
     """The 2048 least squarefree k, all below 2**12 (the largest is 3363):
     one per SQUFOF lane."""
-    k = np.flatnonzero(sieve(2**12)[1])[:2048].astype(np.uint64)
+    k = np.flatnonzero(mobius(2**12))[:2048].astype(np.uint64)
     k.flags.writeable = False
     return k
 
@@ -352,9 +354,9 @@ def _factor_into(n: int, exps: dict[int, int]) -> None:
 def factor(m: int) -> FactoredInteger:
     """Exact factorization of a nonzero integer.
 
-    Trial division by the primes up to TRIAL_DIVISION_BOUND (2**10), which
-    ``primes_up_to`` sieves once, on the first call; it stops early once
-    p^2 exceeds the cofactor, which is then 1 or prime.  A cofactor of
+    Trial division by the primes up to TRIAL_DIVISION_BOUND (2**10), a
+    slice of the cached primes below 2**16; it stops early once p^2
+    exceeds the cofactor, which is then 1 or prime.  A cofactor of
     2**20 or more is screened by the 6,370 primes in (2**10, 2**16] at
     once, in numpy, at a fixed cost of about 30 us below 2**63, and each
     prime that divides it is divided out.  What is left has only primes
@@ -410,19 +412,29 @@ def _screen(n: int, exps: dict[int, int]) -> int:
 
 
 @functools.cache
+def _primes() -> np.ndarray:
+    """The primes below _SCREEN_BOUND as a read-only int64 array, built once
+    per process: the primes below 2**8, found by trial division, sieve the
+    rest.  ``sieve`` reads its primes up to isqrt(limit) from it, and trial
+    division and the screen read slices of it."""
+    small = [p for p in range(2, 2**8) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    spf = _sieve(_SCREEN_BOUND - 1, True, small)[0]
+    primes = np.flatnonzero(spf == np.arange(_SCREEN_BOUND))[2:].astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
+
+
+@functools.cache
 def _trial_primes() -> tuple[int, ...]:
-    """The primes up to TRIAL_DIVISION_BOUND, sieved on the first call."""
+    """The primes up to TRIAL_DIVISION_BOUND, as Python ints."""
     return tuple(primes_up_to(TRIAL_DIVISION_BOUND))
 
 
 @functools.cache
 def _screen_primes() -> np.ndarray:
-    """The primes in (TRIAL_DIVISION_BOUND, _SCREEN_BOUND] as int64, sieved
-    on the first call."""
-    primes = np.array(primes_up_to(_SCREEN_BOUND), dtype=np.int64)
-    primes = primes[primes > TRIAL_DIVISION_BOUND]
-    primes.flags.writeable = False
-    return primes
+    """The primes in (TRIAL_DIVISION_BOUND, _SCREEN_BOUND], a read-only int64
+    view of ``_primes``."""
+    return _primes()[len(_trial_primes()):]
 
 
 @functools.cache
@@ -564,35 +576,58 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit: the m >= 2 that ``sieve`` gives spf(m) = m."""
-    if limit < 2:
-        return []
+    """All primes <= limit: a slice of the cached primes below 2**16, and
+    past them the m >= 2 that ``sieve`` gives spf(m) = m."""
+    if limit < _SCREEN_BOUND:
+        return _primes()[:np.searchsorted(_primes(), limit, "right")].tolist()
     return np.flatnonzero(sieve(limit)[0] == np.arange(limit + 1))[2:].tolist()
 
 
 def sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest prime factor and Mobius function of 0..limit, as numpy arrays.
 
-    Only the primes p <= isqrt(limit) are sieved, into a running product of
-    the sieved primes of each m (at most m, so it stays in int32).  A
-    squarefree m whose product falls short of m has a single larger prime
-    left, which flips mu(m); an m no sieved prime divides is 1 or a prime
-    and keeps spf(m) = m.  spf[0] = 0, spf[1] = 1 and mu[0] = 0.  A limit of
-    2^31 or more, past int32 and 18 GiB of arrays, raises ValueError before
-    anything is allocated.
+    Only the primes p <= isqrt(limit), sliced from the cached primes below
+    2**16, are sieved (isqrt(limit) < 46,341 for every legal limit), into a
+    running product of the sieved primes of each m (at most m, so it stays
+    in int32).  A squarefree m whose product falls short of m has a single
+    larger prime left, which flips mu(m); an m no sieved prime divides is 1
+    or a prime and keeps spf(m) = m.  spf[0] = 0, spf[1] = 1 and mu[0] = 0.
+    A limit of 2^31 or more, past int32 and 18 GiB of arrays, raises
+    ValueError before anything is allocated.  ``mobius`` is the same sieve
+    without spf.
     """
+    return _sieve(limit, True)
+
+
+def mobius(limit: int) -> np.ndarray:
+    """The Mobius function of 0..limit as int8: ``sieve(limit)[1]``, by the
+    same loop with no spf array built or written."""
+    return _sieve(limit, False)[1]
+
+
+def _sieve(limit: int, spf: bool, primes: list[int] | None = None
+           ) -> tuple[np.ndarray | None, np.ndarray]:
+    """The loop of ``sieve`` and ``mobius``, with spf only when asked for, by
+    the given primes: by default those up to isqrt(limit), a slice of the
+    cached primes, which are themselves sieved by the primes below 2**8."""
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} too large (must be < 2^31)")
-    spf = np.arange(limit + 1, dtype=np.int32)
+    if primes is None:
+        primes = primes_up_to(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     prod = np.ones(limit + 1, dtype=np.int32)
+    least = np.arange(limit + 1, dtype=np.int32) if spf else None
     # descending, so the smallest prime writes spf last
-    for p in reversed(primes_up_to(math.isqrt(limit))):
-        spf[p::p] = p
+    for p in reversed(primes):
+        if spf:
+            least[p::p] = p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         prod[p::p] *= p
-    # arithmetic, not a where= mask, which runs several times slower
-    mu *= 1 - 2 * (prod < np.arange(limit + 1, dtype=np.int32)).view(np.int8)
+    # arithmetic, not a where= mask, which runs several times slower; 2**16
+    # entries at a time, so that no arange as long as prod is held beside it
+    for lo in range(0, limit + 1, 2**16):
+        m = np.arange(lo, min(lo + 2**16, limit + 1), dtype=np.int32)
+        mu[lo:lo + 2**16] *= 1 - 2 * (prod[lo:lo + 2**16] < m).view(np.int8)
     mu[0] = 0
-    return spf, mu
+    return least, mu

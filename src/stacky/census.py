@@ -16,13 +16,13 @@ increasing primes pruned by the partial |disc|, each beside its wild rows
 ladder target up in ``FAST_COUNTERS``, and any target outside it raises.
 Every key there goes through one local-type counter, ``_count_types``,
 which counts what the walk reaches from the same record, on numpy arrays
-from ``arith.sieve``: the mu keys (T and M for n = 2..12 under every
-ordering ``enumerate_mu`` takes) with the |disc| caps of ``_disc_bound``,
-M being T less the reducible classes of ``_reducible``, counted from
-restricted records by inclusion-exclusion; the cyclic keys (M for n =
-2..12) for each d | n, inverted by Mobius over d.  The counter works in
-int64 below a top cap of 2^62 and in Python ints from there on; a ladder
-past physical memory raises ValueError.
+from ``arith.sieve`` or ``arith.mobius``: the mu keys (T and M for n =
+2..12 under every ordering ``enumerate_mu`` takes) with the |disc| caps of
+``_disc_bound``, M being T less the reducible classes of ``_reducible``,
+counted from restricted records by inclusion-exclusion; the cyclic keys
+(M for n = 2..12) for each d | n, inverted by Mobius over d.  The counter
+works in int64 below a top cap of 2^62 and in Python ints from there on;
+a ladder past physical memory raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import (FactoredInteger, _iroot as _int_root, _primes_of, primes_up_to, sieve,
-                    unit_group, valuation)
+from .arith import (FactoredInteger, _iroot as _int_root, _primes_of, mobius, primes_up_to,
+                    sieve, unit_group, valuation)
 from .heights import darda_denominator, sectors
 from .kummer import EXACT_WILD_DEGREES, KummerClass, wild_exponent
 
@@ -429,17 +429,18 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     costs of ``local.wild[c]``.  Callers with M > 1 have h = 1.
     The tame supports have the Dirichlet series f = g * h.  g puts the
     leading types of each prime's residue (least cost p^m) on the squarefree
-    d prime to n, read off a prefix-sum table over ``arith.sieve``.  When
-    every prime has one leading type of shift 0 (the Mobius path) g is 1 on
-    those d: the table is the int32 running count of |mu| to about the
-    square root of the largest query (or ``_TABLE``), and the queries past
-    it are answered from the int32 Mertens sums, once per distinct z, in
-    one numpy batch.  Otherwise C int64 class rows to the largest query are
-    built one prime of every d at a time.  h(p^j) = f(p^j) - (leading types
-    at p) h(p^(j - m)) vanishes for j <= m, so its supports are few; they
-    are swept one prime more at a time.  Past physical memory, in the table
-    or in the sweep's supports, the counter raises ValueError naming the top
-    cap instead of allocating.
+    d prime to n.  When every prime has one leading type of shift 0 (the
+    Mobius path) g is 1 on those d, and ``_squarefree_counts`` counts them
+    from ``arith.mobius`` alone, sieved to about the square root of the
+    largest query (or ``_TABLE``): |mu| summed at the queried z within it,
+    the Mertens sums past it.  Otherwise C int64 class rows to the largest
+    query are built one prime of every d at a time over the spf of
+    ``arith.sieve``, and read off their prefix sums.  h(p^j) = f(p^j) -
+    (leading types at p) h(p^(j - m)) vanishes for j <= m, so its supports
+    are few; they are swept one prime more at a time.  Past physical
+    memory, in the table, in the sweep's supports or in the (cap, term)
+    pairs read after the sweep, the counter raises ValueError naming the
+    top cap instead of allocating.
     """
     n, types, M, rows = local
     top = max(caps)
@@ -472,19 +473,23 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
             H[u][j] = f[j] - f[m] * H[u][j - m]
 
     zmax = _int_root(bound, m) if m > 1 and bound else bound  # exact, past int64 too
-    mobius = all(P[u] == [1] + [0] * (C - 1) for u in unit_group(L))
-    Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius else zmax
-    # peak memory per sieve entry, measured: 13-14 bytes on the Mobius path
-    # (the sieve's own peak), 26-37 for one class row (the sieve, the live d,
-    # V and a round's arrays) and 53 for C = 3; the guard keeps 32 a class
-    # row, so that no ladder changes route
+    mobius_path = all(P[u] == [1] + [0] * (C - 1) for u in unit_group(L))
+    Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius_path else zmax
+    # peak memory per sieve entry, measured: 6-7 bytes on the Mobius path
+    # (mu, its int32 Mertens sums and the batch past the table; the sieve
+    # itself holds 5), 26-37 for one class row (the sieve, the live d, V and
+    # a round's arrays) and 53 for C = 3; the guard keeps 32 a class row, so
+    # that no ladder changes route
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if (Z + 1) * 32 * C > memory:
         raise ValueError(f"|disc| cap {top} needs more than physical memory")
     dtype = np.int64 if top < _INT64_TOP else object
     # a support the sweep keeps holds W, K and R, 8 bytes each, and past
-    # int64 the Python int of K, no larger than top
+    # int64 the Python int of K, no larger than top; a (cap, term) pair
+    # peaked at 42 bytes in int64 and 63 past it (c, i, the quotient, its
+    # root and the lookups; ru_maxrss over 1 and 21 mu:4 rungs)
     support_bytes = 24 + (sys.getsizeof(top) if dtype is object else 0)
+    pair_bytes = 64 if dtype is object else 48
 
     # p^j for each j with h(p^j) != 0, over the same primes prime to n:
     # index i is one prime, weighted by h(p^j) at its residue
@@ -516,17 +521,20 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     # one term per support q = k c: its weight times the tame parts of class
     # t over the d with q d^m <= B
     Wt, Q, R = (np.concatenate(x) for x in zip(*sup))
+    del sup  # the rounds, copied into Wt, Q and R
+    # every (cap, term) pair with the term within the cap, as indices c, i:
+    # term i is within the caps from its first one on; their number grows
+    # with the rungs, and they are counted beside the supports before the
+    # sieve
+    caps = np.array(caps, dtype=dtype)
+    first = np.searchsorted(caps, Q)
+    if held + int((len(caps) - first).sum()) * pair_bytes > memory:
+        raise ValueError(f"|disc| cap {top} needs more than physical memory")
 
-    spf, mu = sieve(Z)
-    for p in _primes_of(n):
-        mu[::p] = 0
-    if mobius:
-        # the squarefree d <= z prime to n (over spf, which this path does not
-        # read), and the Mertens sums over them, straight off mu; both stay
-        # within Z < 2^31
-        tab = np.cumsum(np.abs(mu), dtype=np.int32, out=spf)[None]
-        mertens = np.cumsum(mu, dtype=np.int32)
-    else:
+    if not mobius_path:
+        spf, mu = sieve(Z)
+        for p in _primes_of(n):
+            mu[::p] = 0
         # V[t, d]: the tame parts over the squarefree d prime to n, of class
         # t, built one prime of every live d per round; a leading type p^e
         # moves class t to t + e log(p) mod C.  A d leaves when its weight is
@@ -545,40 +553,69 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
             k = np.flatnonzero(G.any(axis=0) & (rest > 1))
             live, rest, G = live[k], rest[k], np.take(G, k, axis=1)
         tab = V.cumsum(axis=1, out=V)
-
-    # every (cap, term) pair with the term within the cap, as indices c, i:
-    # term i is within the caps from its first one on
-    caps = np.array(caps, dtype=dtype)
-    first = np.searchsorted(caps, Q)
     i, c = _ranges(len(caps) - first, first)
     z = _iroot(caps[c] // Q[i], m)
-    g = tab[R[i], np.minimum(z, Z)].astype(np.int64)
+    g = _squarefree_counts(z, n, Z) if mobius_path else tab[R[i], z]
+    counts = np.zeros(len(caps), dtype=np.int64)
+    np.add.at(counts, c, Wt[i] * g)
+    return counts.tolist()
 
-    # past the table (only on the Mobius path), the squarefree d <= z prime
-    # to n number sum_e mu(e) phi_n(z // e^2), split at s = floor(z^(1/3)):
-    # the e up to x = isqrt(z // (s + 1)) one by one; the rest grouped by
-    # k = z // e^2 <= s and summed by parts, the Mertens sums at isqrt(z // k)
-    # over the k prime to n, less phi_n(s) M(x).  Each distinct z once, in
-    # chunks of at most Z terms.
+
+def _squarefree_counts(z: np.ndarray, n: int, Z: int) -> np.ndarray:
+    """How many squarefree d <= z are prime to n, for each z >= 1 of an
+    int64 array, as int64, from mu over 0..Z (``arith.mobius``, sieved once
+    the queries are made) with its multiples of each p | n struck out.
+
+    The z <= Z are read off the int32 running count of |mu| when there are
+    at least Z of them; fewer, |mu| is summed between their distinct values
+    by one reduceat, and one np.unique serves them and the z past Z.  Past
+    the table, the count is sum_e mu(e) phi_n(z // e^2), split at
+    s = floor(z^(1/3)): the e up to x = isqrt(z // (s + 1)) one by one; the
+    rest grouped by k = z // e^2 <= s and summed by parts, the int32
+    Mertens sums at isqrt(z // k) over the k prime to n, less phi_n(s) M(x).
+    Each distinct z once, in chunks of at most Z terms.
+    """
+    mu = mobius(Z)
+    for p in _primes_of(n):
+        mu[::p] = 0
+    # each running sum cast once and summed in place: a cumsum with a dtype
+    # holds a cast copy of its input beside its output
+    mertens = mu.astype(np.int32)
+    np.cumsum(mertens, out=mertens)
+    inside = z <= Z
+    few = np.count_nonzero(inside) < Z
+    if few:
+        zs, inv = np.unique(z, return_inverse=True)
+        inner = np.searchsorted(zs, Z, side="right")
+    else:
+        tab = np.abs(mu, dtype=np.int32)
+        g = np.cumsum(tab, out=tab)[np.minimum(z, Z)].astype(np.int64)
+        zs, inv = np.unique(z[~inside], return_inverse=True)
+        inner = 0
+    sums = np.zeros(len(zs), dtype=np.int64)
+    if inner:
+        sums[:inner] = np.add.reduceat(mu[:zs[inner - 1] + 1] != 0, np.r_[0, zs[:inner - 1] + 1],
+                                       dtype=np.int64).cumsum()
     unit = np.array([math.gcd(j, n) == 1 for j in range(n)], dtype=np.int64)  # n >= 2
     coprime = np.cumsum(unit)
 
     def phi_n(y):  # the j <= y prime to n
         return y // n * coprime[-1] + coprime[y % n]
 
-    zs, inv = np.unique(z[z > Z], return_inverse=True)
-    s = np.cbrt(zs).astype(np.int64)
-    x = _iroot(zs // (s + 1), 2)
-    past = -phi_n(s) * mertens[x] if mobius else zs  # no z passes the table off that path
-    for lo in range(0, len(zs), step := max(1, Z // (x + s).max(initial=1))):
+    zp = zs[inner:]
+    s = np.cbrt(zp).astype(np.int64)
+    x = _iroot(zp // (s + 1), 2)
+    past = sums[inner:]
+    past -= phi_n(s) * mertens[x]
+    for lo in range(0, len(zp), step := max(1, Z // (x + s).max(initial=1))):
         j, e = _ranges(x[lo:lo + step], 1)
-        np.add.at(past, lo + j, mu[e] * phi_n(zs[lo + j] // (e * e)))
+        np.add.at(past, lo + j, mu[e] * phi_n(zp[lo + j] // (e * e)))
         j, k = _ranges(s[lo:lo + step], 1)
-        np.add.at(past, lo + j, unit[k % n] * mertens[_iroot(zs[lo + j] // k, 2)])
-    g[z > Z] = past[inv]
-    counts = np.zeros(len(caps), dtype=np.int64)
-    np.add.at(counts, c, Wt[i] * g)
-    return counts.tolist()
+        np.add.at(past, lo + j, unit[k % n] * mertens[_iroot(zp[lo + j] // k, 2)])
+    if few:
+        return sums[inv]
+    g[~inside] = sums[inv]
+    return g
 
 
 def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> list[int]:
@@ -606,7 +643,7 @@ def _count_cyclic(n: int, rungs: list[float]) -> list[int]:
     counts from ``_cyclic_types(n, d)``.
     """
     caps = [_disc_bound(B, n, "disc_exact") for B in rungs]
-    mob = sieve(n)[1].tolist()  # mob[n // d] = mu(n/d)
+    mob = mobius(n).tolist()  # mob[n // d] = mu(n/d)
     total = [mob[n] * (cap >= 1) for cap in caps]  # C_1 = 1
     for d in (d for d in range(2, n + 1) if n % d == 0 and mob[n // d]):
         counts = _count_types(_cyclic_types(n, d), caps)

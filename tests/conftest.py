@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from stacky.arith import _trial_primes
+from stacky.arith import _primes, _trial_primes
 
 settings.register_profile("stacky", derandomize=True, deadline=None)
 settings.load_profile("stacky")
@@ -20,8 +20,10 @@ settings.load_profile("stacky")
 def no_numpy_alloc(monkeypatch):
     """Make the numpy constructors the sieve uses raise AssertionError, so
     a test can show that an infeasible size is refused before any array is
-    allocated.  The trial primes that factoring n reads are sieved first,
-    so that the test does not depend on an earlier one having done it."""
+    allocated.  The cached primes below 2^16, which the sieve slices, and
+    the trial primes that factoring n reads are built first, so that the
+    test does not depend on an earlier one having done it."""
+    _primes()
     _trial_primes()
 
     def refuse(*args, **kwargs):

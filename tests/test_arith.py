@@ -1,7 +1,9 @@
 import math
 import random
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from stacky.arith import (
     cyclotomic_image,
     factor,
     is_prime,
+    mobius,
     nth_power_free_reduce,
     primes_up_to,
     sieve,
@@ -395,11 +398,18 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**4)) == 1229
-    # limits 0-3 are where primes_up_to and sieve call each other
+    # every limit below 200, negative ones too, against trial division
     for limit in range(-2, 200):
         want = [m for m in range(2, limit + 1) if all(m % d for d in range(2, m))]
         got = primes_up_to(limit)
         assert got == want and all(type(p) is int for p in got), limit
+    # below 2^16 a slice of the cached primes, from 2^16 on sieved
+    ref_spf = _spf_table(2**16 + 1)
+    for limit in (2**16 - 1, 2**16, 2**16 + 1):
+        got = primes_up_to(limit)
+        assert got == [m for m in range(2, limit + 1) if ref_spf[m] == m], limit
+        assert all(type(p) is int for p in got)
+    assert got[-1] == 65537
 
 
 def _spf_and_mu_by_trial_division(m):
@@ -423,11 +433,12 @@ def test_sieve_matches_definitions():
     assert (spf[0], spf[1], mu[0], mu[1]) == (0, 1, 0, 1)
     for m in range(2, 10**4 + 1):
         assert (spf[m], mu[m]) == _spf_and_mu_by_trial_division(m), m
-    # a smaller limit sieves fewer primes, and must agree on its range
+    # a smaller limit sieves fewer primes, and must agree on its range; mobius
+    # is the same loop without spf, so it agrees at every limit checked here
     for limit in range(0, 200):
         small_spf, small_mu = sieve(limit)
         assert small_spf.tolist() == spf[: limit + 1].tolist()
-        assert small_mu.tolist() == mu[: limit + 1].tolist()
+        assert small_mu.tolist() == mu[: limit + 1].tolist() == mobius(limit).tolist()
     # at p^2 - 1, p^2 and p^2 + 1 for a prime p, where p starts to be one of
     # the sieved primes; checked against the oracles' plain spf table, with
     # mu read off it
@@ -440,7 +451,17 @@ def test_sieve_matches_definitions():
         for limit in (p * p - 1, p * p, p * p + 1):
             small_spf, small_mu = sieve(limit)
             assert small_spf.tolist() == ref_spf[: limit + 1], limit
-            assert small_mu.tolist() == ref_mu[: limit + 1], limit
+            assert small_mu.tolist() == ref_mu[: limit + 1] == mobius(limit).tolist(), limit
+    assert mobius(10**4).dtype == mu.dtype == np.int8
+
+
+def test_warm_sieve_does_not_nest():
+    # the sieving primes up to isqrt(limit) are sliced from the cached
+    # primes below 2^16, not sieved by a nested call
+    sieve(10**6)
+    with mock.patch.object(arith, "sieve", wraps=arith.sieve) as spy:
+        arith.sieve(10**6)
+    assert spy.call_count == 1
 
 
 def test_sieve_rejects_infeasible_limits(no_numpy_alloc):

@@ -375,6 +375,23 @@ def test_count_refuses_sweeps_past_physical_memory(monkeypatch, b0):
     assert sweep.called
 
 
+def test_count_refuses_pairs_past_physical_memory(monkeypatch):
+    # mu_4 to 1e14 with 4 MiB: the table, the h sweep's supports and the
+    # (cap, term) pairs of one rung (about 29,000) fit, but not the pairs of
+    # 21 rungs to the same top (about 139,000), which the guard counts after
+    # the sweep and before anything is sieved
+    many = LadderSpec(("mu", 4), "T", "disc_tame", b0=1e14 / 2**20, doublings=20)
+    want = count(many).points[-1]
+    monkeypatch.setattr(os, "sysconf", lambda name: 1024 if name == "SC_PHYS_PAGES" else 4096)
+    assert count(LadderSpec(("mu", 4), "T", "disc_tame", b0=1e14, doublings=0)).points == (want,)
+    with mock.patch.object(census, "_ranges", wraps=census._ranges) as sweep, \
+            mock.patch.object(census, "mobius", wraps=census.mobius) as sieved:
+        with pytest.raises(ValueError, match="physical memory") as err:
+            count(many)
+    assert "|disc| cap 100000000000000 " in str(err.value)
+    assert sweep.called and not sieved.called
+
+
 @pytest.mark.parametrize("target,counter,ordering", [
     (("mu", 2), "T", "disc_exact"),
     (("mu", 4), "T", "disc_tame"),
@@ -536,6 +553,35 @@ def test_count_mu2_matches_squarefree_oracle(table, ordering, b0, doublings):
             for B in rungs]
     with mock.patch.object(census, "_TABLE", table):
         assert census._count_mu(2, ordering, rungs) == want
+
+
+# the two sides of the |mu| lookup rule, each with z within and past the
+# table: mu_2 to 2e4 with 64 table entries (14 of its 33 pairs within
+# Z = 141) sums |mu| between its distinct z; mu_4 to 1e6 with 4 (239 of its
+# 263 pairs within Z = 31) reads the running count
+@pytest.mark.parametrize("n,ordering,bmax,table,few", [
+    (2, "disc_exact", 2e4, 64, True),
+    (4, "disc_tame", 1e6, 4, False),
+])
+def test_squarefree_counts_match_oracles_on_both_sides(monkeypatch, n, ordering, bmax, table,
+                                                       few):
+    monkeypatch.setattr(census, "_TABLE", table)
+    seen, real = [], census._squarefree_counts
+
+    def spy(z, n, Z):
+        seen.append((np.count_nonzero(z <= Z) < Z, (z <= Z).any(), (z > Z).any()))
+        return real(z, n, Z)
+
+    monkeypatch.setattr(census, "_squarefree_counts", spy)
+    rungs = [bmax / 2**i for i in range(10, -1, -1)]
+    got = census._count_mu(n, ordering, rungs)
+    assert seen == [(few, True, True)]
+    measures = sorted(m for _, m in enumerate_mu(n, bmax, ordering))
+    assert got == [bisect.bisect_right(measures, B) for B in rungs]
+    if n == 2:
+        squarefree = squarefree_prime_to(2, math.floor(bmax))
+        assert got == [sum(k * squarefree[math.floor(B) // c]
+                           for c, k in QUADRATIC_COSTS[ordering].items()) for B in rungs]
 
 
 def test_darda_cap_past_the_float_range_is_a_value_error():
