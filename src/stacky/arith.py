@@ -397,7 +397,7 @@ def _screen(n: int, exps: dict[int, int]) -> int:
     of them come from one numpy remainder below 2**63; from 2**63 up, from
     folding n's 32-bit limbs, most significant first, into them, where
     every value stays below 2**48."""
-    mid = _screen_primes()
+    mid = _primes()[len(_trial_primes()):]
     if n < 2**63:
         r = np.int64(n) % mid
     else:
@@ -428,13 +428,6 @@ def _primes() -> np.ndarray:
 def _trial_primes() -> tuple[int, ...]:
     """The primes up to TRIAL_DIVISION_BOUND, as Python ints."""
     return tuple(primes_up_to(TRIAL_DIVISION_BOUND))
-
-
-@functools.cache
-def _screen_primes() -> np.ndarray:
-    """The primes in (TRIAL_DIVISION_BOUND, _SCREEN_BOUND], a read-only int64
-    view of ``_primes``."""
-    return _primes()[len(_trial_primes()):]
 
 
 @functools.cache

@@ -16,13 +16,15 @@ increasing primes pruned by the partial |disc|, each beside its wild rows
 ladder target up in ``FAST_COUNTERS``, and any target outside it raises.
 Every key there goes through one local-type counter, ``_count_types``,
 which counts what the walk reaches from the same record, on numpy arrays
-from ``arith.sieve`` or ``arith.mobius``: the mu keys (T and M for n =
-2..12 under every ordering ``enumerate_mu`` takes) with the |disc| caps of
-``_disc_bound``, M being T less the reducible classes of ``_reducible``,
-counted from restricted records by inclusion-exclusion; the cyclic keys
-(M for n = 2..12) for each d | n, inverted by Mobius over d.  The counter
-works in int64 below a top cap of 2^62 and in Python ints from there on;
-a ladder past physical memory raises ValueError.
+from ``arith.sieve`` or ``arith.mobius``, the one mu table of a count,
+sieved once its queries are made: the mu keys (T and M for n = 2..12
+under every ordering ``enumerate_mu`` takes) with the |disc| caps of
+``_disc_bound``, M being T less the reducible classes, counted from
+restricted records by inclusion-exclusion over the sets of Capelli's
+criterion that ``kummer._reducible`` owns and ``is_irreducible`` reads;
+the cyclic keys (M for n = 2..12) for each d | n, inverted by Mobius over
+d.  The counter works in int64 below a top cap of 2^62 and in Python ints
+from there on; a ladder past physical memory raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .arith import (FactoredInteger, _iroot as _int_root, _primes_of, mobius, primes_up_to,
                     sieve, unit_group, valuation)
 from .heights import darda_denominator, sectors
-from .kummer import EXACT_WILD_DEGREES, KummerClass, wild_exponent
+from .kummer import EXACT_WILD_DEGREES, KummerClass, _reducible, wild_exponent
 
 __all__ = [
     "CountLadder",
@@ -248,15 +250,6 @@ def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], .
     return [(s, w, v, pat) for w, v, pat in wild for s in ((1,) if n % 2 else (1, -1))]
 
 
-def _reducible(n: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The sets of classes a with t^n - a reducible (Capelli): A_p, the p-th
-    powers, for each prime p | n, and A_-4 = -4 Q^4 when 4 | n.  Each is a
-    restriction (q, r2, signs): the exponent at every prime but 2 is 0 mod
-    q, v_2 is r2 mod q, and the sign lies in signs."""
-    return ([(p, 0, (1,) if p == 2 else (1, -1)) for p in _primes_of(n)]
-            + [(4, 2, (-1,))] * (n % 4 == 0))
-
-
 @cache
 def _mu_types(n: int, ordering: str, within: tuple = ()) -> LocalTypes:
     """The local types of Bmu_n under ``ordering``: at every tame residue
@@ -267,9 +260,9 @@ def _mu_types(n: int, ordering: str, within: tuple = ()) -> LocalTypes:
     tame part of class c, cheapest first, in ``_wild_patterns`` order among
     equal costs: the cost is n^(wild exponent), or 1 where the wild primes
     are not measured.  ``within``, a tuple of restrictions of
-    ``_reducible``, keeps the classes in all of them: each restriction is a
-    condition on every exponent and on the sign alone, so the record keeps
-    the tame types and the wild rows that meet it.
+    ``kummer._reducible``, keeps the classes in all of them: each
+    restriction is a condition on every exponent and on the sign alone, so
+    the record keeps the tame types and the wild rows that meet it.
     """
     M = n * n if ordering != "disc_tame" and n in EXACT_WILD_DEGREES else 1
     tame = tuple((e, e, j) for e, j in sectors(n).entries if all(e % q == 0 for q, _, _ in within))
@@ -491,13 +484,15 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     support_bytes = 24 + (sys.getsizeof(top) if dtype is object else 0)
     pair_bytes = 64 if dtype is object else 48
 
-    # p^j for each j with h(p^j) != 0, over the same primes prime to n:
-    # index i is one prime, weighted by h(p^j) at its residue
+    # p^j for each j with h(p^j) != 0, over the primes p <= bound^(1/j)
+    # prime to n, so that no p^j passes bound in the sweep's dtype: index i
+    # is one prime, weighted by h(p^j) at its residue
     js = [j for j in range(m + 1, len(H[0])) if any(h[j] for h in H)]
-    ps = [p for p in primes_up_to(int(bound ** (1 / js[0])) + 1) if n % p] if js else []
+    ps = np.array(primes_up_to(_int_root(bound, js[0])) if js else [], dtype=np.int64)
+    ps = ps[n % ps != 0]
     H = np.array(H)
-    pw = [(H[np.array(ps[:len(pj)], dtype=np.int64) % L, j], np.array(pj, dtype=dtype))
-          for j in js for pj in [list(itertools.takewhile(bound.__ge__, (p**j for p in ps)))]]
+    pw = [(H[pj % L, j], pj.astype(dtype) ** j)
+          for j in js for pj in [ps[:np.searchsorted(ps, _int_root(bound, j), "right")]]]
     # the supports of h times each wild cost c, one prime more per sweep:
     # weight, k, the index of the largest prime and the class t beside the
     # wild cost; a support of weight 0 counts nothing
@@ -531,10 +526,15 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     if held + int((len(caps) - first).sum()) * pair_bytes > memory:
         raise ValueError(f"|disc| cap {top} needs more than physical memory")
 
-    if not mobius_path:
-        spf, mu = sieve(Z)
-        for p in _primes_of(n):
-            mu[::p] = 0
+    i, c = _ranges(len(caps) - first, first)
+    z = _iroot(caps[c] // Q[i], m)
+    # one mu table for both paths, sieved once the queries are made
+    spf, mu = (None, mobius(Z)) if mobius_path else sieve(Z)
+    for p in _primes_of(n):
+        mu[::p] = 0
+    if mobius_path:
+        g = _squarefree_counts(z, mu, n)
+    else:
         # V[t, d]: the tame parts over the squarefree d prime to n, of class
         # t, built one prime of every live d per round; a leading type p^e
         # moves class t to t + e log(p) mod C.  A d leaves when its weight is
@@ -552,19 +552,16 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
             V[:, live[done]] = G[:, done := np.flatnonzero(G.any(axis=0) & (rest == 1))]
             k = np.flatnonzero(G.any(axis=0) & (rest > 1))
             live, rest, G = live[k], rest[k], np.take(G, k, axis=1)
-        tab = V.cumsum(axis=1, out=V)
-    i, c = _ranges(len(caps) - first, first)
-    z = _iroot(caps[c] // Q[i], m)
-    g = _squarefree_counts(z, n, Z) if mobius_path else tab[R[i], z]
+        g = V.cumsum(axis=1, out=V)[R[i], z]
     counts = np.zeros(len(caps), dtype=np.int64)
     np.add.at(counts, c, Wt[i] * g)
     return counts.tolist()
 
 
-def _squarefree_counts(z: np.ndarray, n: int, Z: int) -> np.ndarray:
+def _squarefree_counts(z: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
     """How many squarefree d <= z are prime to n, for each z >= 1 of an
-    int64 array, as int64, from mu over 0..Z (``arith.mobius``, sieved once
-    the queries are made) with its multiples of each p | n struck out.
+    int64 array, as int64, from ``mu``, the Mobius function over 0..Z with
+    its multiples of each p | n struck out.
 
     The z <= Z are read off the int32 running count of |mu| when there are
     at least Z of them; fewer, |mu| is summed between their distinct values
@@ -575,9 +572,7 @@ def _squarefree_counts(z: np.ndarray, n: int, Z: int) -> np.ndarray:
     Mertens sums at isqrt(z // k) over the k prime to n, less phi_n(s) M(x).
     Each distinct z once, in chunks of at most Z terms.
     """
-    mu = mobius(Z)
-    for p in _primes_of(n):
-        mu[::p] = 0
+    Z = len(mu) - 1
     # each running sum cast once and summed in place: a cumsum with a dtype
     # holds a cast copy of its input beside its output
     mertens = mu.astype(np.int32)
@@ -623,12 +618,12 @@ def _count_mu(n: int, ordering: str, rungs: list[float], counter: str = "T") -> 
     walks, counted by ``_count_types`` from the same record (``_mu_types``)
     and the same |disc| caps (``_disc_bound``).  M(B) is T(B) less the
     reducible classes, by inclusion-exclusion over the sets of
-    ``_reducible``: each intersection is one restricted record, the empty
-    ones (A_2 and A_-4 share no sign) counting nothing.
+    ``kummer._reducible``: each intersection is one restricted record, the
+    empty ones (A_2 and A_-4 share no sign) counting nothing.
     """
     caps = [_disc_bound(B, n, ordering) for B in rungs]
     counts = _count_types(_mu_types(n, ordering), caps)
-    sets = _reducible(n) if counter == "M" else []
+    sets = _reducible(n) if counter == "M" else ()
     for k in range(1, len(sets) + 1):
         for within in itertools.combinations(sets, k):
             if any((local := _mu_types(n, ordering, within)).wild):

@@ -26,7 +26,7 @@ from .heights import (
     raising_height,
     sectors,
 )
-from .kummer import canonical, discriminant, is_irreducible
+from .kummer import MODES, canonical, discriminant, is_irreducible
 from .malle import _PRESET_RE, PRESETS, group_preset, malle_invariants, signature_for_field
 from .permgrp import closure, parse_group_spec
 
@@ -111,14 +111,11 @@ def _scale(x: float, log10: bool) -> float:
     return x / math.log(10) if log10 else x
 
 
+_HEIGHTS = {"eszb": eszb_height, "darda": darda_global, "raising": raising_height}
+
+
 def _cmd_height(args) -> int:
-    cls = canonical(args.a, args.n)
-    if args.kind == "eszb":
-        h = eszb_height(cls, args.mode)
-    elif args.kind == "darda":
-        h = darda_global(cls, args.mode)
-    else:
-        h = raising_height(cls, args.mode)
+    h = _HEIGHTS[args.kind](canonical(args.a, args.n), args.mode)
     if isinstance(h, tuple):
         payload = {
             "log_value_interval": [_scale(h[0].log_value, args.log10),
@@ -211,40 +208,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stacky")
     parser.add_argument("--config", help="key=value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    kummer_class = argparse.ArgumentParser(add_help=False)
+    kummer_class.add_argument("--n", type=int, required=True)
+    kummer_class.add_argument("--a", type=int, required=True)
+    kummer_class.add_argument("--mode", choices=MODES, default="exact")
 
-    p = sub.add_parser("malle", help="counting invariants of a permutation group")
+    p = sub.add_parser("malle", parents=[as_json],
+                       help="counting invariants of a permutation group")
     p.add_argument("which", choices=["a", "b"])
     p.add_argument("--group", required=True)
     p.add_argument("--field", default="Q")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_malle)
 
-    p = sub.add_parser("kummer", help="Kummer class discriminants and irreducibility")
+    p = sub.add_parser("kummer", parents=[kummer_class, as_json],
+                       help="Kummer class discriminants and irreducibility")
     p.add_argument("which", choices=["disc", "irred"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "tame", "interval"], default="exact")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_kummer)
 
-    p = sub.add_parser("height", help="height of a Kummer class")
-    p.add_argument("kind", choices=["eszb", "darda", "raising"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "tame", "interval"], default="exact")
+    p = sub.add_parser("height", parents=[kummer_class, as_json], help="height of a Kummer class")
+    p.add_argument("kind", choices=_HEIGHTS)
     p.add_argument("--log10", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_height)
 
-    p = sub.add_parser("sectors", help="twisted sector table of Bmu_n")
+    p = sub.add_parser("sectors", parents=[as_json], help="twisted sector table of Bmu_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sectors)
 
-    p = sub.add_parser("eszb-a", help="closed-form height growth exponent")
+    p = sub.add_parser("eszb-a", parents=[as_json], help="closed-form height growth exponent")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--witness", nargs=2, metavar=("APRIME", "K"))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eszb_a)
 
     p = sub.add_parser("census", help="count ladder for a census target")
@@ -252,13 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counter", choices=["T", "M"], default="T")
     p.add_argument("--Bmax", default="2.62144e8")
     p.add_argument("--B0", default="1e3")
-    p.add_argument("--order", choices=["exact", "tame", "darda"], default="exact")
+    p.add_argument("--order", choices=_ORDER_MAP, default="exact")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("fit", help="fit B^alpha (log B)^beta to a ladder CSV")
+    p = sub.add_parser("fit", parents=[as_json], help="fit B^alpha (log B)^beta to a ladder CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fit)
     return parser
 

@@ -157,8 +157,8 @@ class RaisingFunction:
     def __post_init__(self):
         if len(self.values) != self.n - 1:
             raise ValueError("need one value per twisted sector")
-        if any(v < 0 for v in self.values):
-            raise ValueError("raising values must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in self.values):
+            raise ValueError(f"raising values must be finite and nonnegative, got {self.values}")
 
 
 def index_raising_function(n: int) -> RaisingFunction:

@@ -42,11 +42,20 @@ class MalleInvariants:
     orbits: tuple[tuple[str, ...], ...]
 
 
-def _require_transitive_nontrivial(G: PermGroup) -> None:
+def minimal_classes(G: PermGroup) -> list[ConjClass]:
+    """The nonidentity conjugacy classes of least index, the one place the
+    invariants below check that G is transitive and nontrivial."""
     if G.order <= 1:
         raise ValueError("invariants are undefined for the trivial group")
     if not is_transitive(G):
         raise ValueError("group must act transitively")
+    classes = conjugacy_classes(G)
+    m = min(c.index for c in classes if c.index > 0)
+    return [c for c in classes if c.index == m]
+
+
+def min_index(G: PermGroup) -> int:
+    return minimal_classes(G)[0].index
 
 
 def a_invariant(G: PermGroup) -> Fraction:
@@ -54,33 +63,16 @@ def a_invariant(G: PermGroup) -> Fraction:
     return Fraction(1, min_index(G))
 
 
-def _minimal(classes: list[ConjClass]) -> list[ConjClass]:
-    m = min(c.index for c in classes if c.index > 0)
-    return [c for c in classes if c.index == m]
-
-
-def min_index(G: PermGroup) -> int:
-    _require_transitive_nontrivial(G)
-    return _minimal(conjugacy_classes(G))[0].index
-
-
-def minimal_classes(G: PermGroup) -> list[ConjClass]:
-    _require_transitive_nontrivial(G)
-    return _minimal(conjugacy_classes(G))
-
-
 def b_invariant(G: PermGroup, sig: CyclotomicSignature) -> int:
     """Number of cyclotomic orbits of the minimal-index classes."""
-    _require_transitive_nontrivial(G)
-    classes = conjugacy_classes(G)
-    return len(gamma_orbits(G, sig, _minimal(classes), classes))
+    return len(malle_invariants(G, sig).orbits)
 
 
 def malle_invariants(G: PermGroup, sig: CyclotomicSignature) -> MalleInvariants:
-    _require_transitive_nontrivial(G)
-    classes = conjugacy_classes(G)
-    mins = _minimal(classes)
-    orbits = gamma_orbits(G, sig, mins, classes)
+    mins = minimal_classes(G)
+    # g -> g^u for u prime to the exponent keeps the cycle type, so the
+    # minimal classes hold every image class
+    orbits = gamma_orbits(G, sig, mins, mins)
     # the orbits partition the minimal classes, so each label is built once
     label = {c.representative.images: c.representative.cycle_string() for c in mins}
     return MalleInvariants(

@@ -3,7 +3,9 @@
 Nothing here touches the code under test: discriminants come from the
 Dedekind index criterion applied to t^n - a over F_p, irreducibility comes
 from numerically expanding subset products of the exact complex roots and
-certifying near-integer factors by exact division over Z, permutation
+certifying near-integer factors by exact division over Z, Capelli's
+reducible sets from a direct reading of a factored integer's exponents,
+permutation
 groups come from a plain breadth-first closure and brute-force conjugation
 on image tuples, power-map orbits from repeated composition, and cyclic
 fields come from a scan of every conductor f over every character of
@@ -233,6 +235,25 @@ def numeric_irreducible(n: int, a: int, tol: float = 1e-6) -> bool:
                 if _exact_divides(n, a, rounded):
                     return False
     return True
+
+
+def is_qth_power(a, q: int) -> bool:
+    """Whether the factored integer a (its sign and (p, e) factors) is a
+    q-th power in Q^x, for a prime q: Capelli's set A_q."""
+    if a.sign < 0 and q == 2:
+        return False
+    return all(e % q == 0 for _, e in a.factors)
+
+
+def in_minus_four_fourth_powers(a) -> bool:
+    """Whether the factored integer a lies in -4 (Q^x)^4: Capelli's set A_-4."""
+    if a.sign > 0:
+        return False
+    for p, e in a.factors:
+        want = 2 if p == 2 else 0
+        if e % 4 != want:
+            return False
+    return a.valuation(2) % 4 == 2
 
 
 # ---------------------------------------------------------------------------

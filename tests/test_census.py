@@ -12,7 +12,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import numpy as np
-from oracles import census_measure, cyclic_fields_by_conductor, squarefree_prime_to
+from oracles import (census_measure, cyclic_fields_by_conductor, in_minus_four_fourth_powers,
+                     is_qth_power, squarefree_prime_to)
 from stacky import census
 from stacky.arith import FactoredInteger, factor, primes_up_to
 from stacky.arith import _iroot as int_root
@@ -27,8 +28,7 @@ from stacky.census import (
     fit,
 )
 from stacky.heights import sectors
-from stacky.kummer import (KummerClass, _in_minus_four_fourth_powers, _is_qth_power, canonical,
-                           discriminant, is_irreducible, wild_exponent)
+from stacky.kummer import KummerClass, canonical, discriminant, is_irreducible, wild_exponent
 
 SEED = 20260824
 print(f"[test_census] seed={SEED}")
@@ -142,12 +142,13 @@ def _mu_stream(n, ordering):
 
 
 def _reducible_tests(n):
-    """The sets of census._reducible(n), each beside kummer's test of its
-    members: the p-th powers for each prime p | n, then -4 Q^4 when 4 | n."""
+    """The sets of census._reducible(n), each beside the oracles' test of
+    its members: the p-th powers for each prime p | n, then -4 Q^4 when
+    4 | n."""
     sets = census._reducible(n)
     assert [q for q, _, _ in sets] == [p for p, _ in factor(n).factors] + [4] * (n % 4 == 0)
-    tests = [lambda a, p=p: _is_qth_power(a, p) for p, _ in factor(n).factors]
-    return list(zip(sets, tests + [_in_minus_four_fourth_powers] * (n % 4 == 0)))
+    tests = [lambda a, p=p: is_qth_power(a, p) for p, _ in factor(n).factors]
+    return list(zip(sets, tests + [in_minus_four_fourth_powers] * (n % 4 == 0)))
 
 
 def _intersections(n):
@@ -160,8 +161,8 @@ def _intersections(n):
 @pytest.mark.parametrize("n,ordering", sorted(MU_BOUNDS))
 def test_restricted_records_walk_the_reducible_classes(n, ordering):
     # the walk of each restricted record is the stream's classes in every
-    # set of the intersection, by kummer's tests; an empty intersection (the
-    # p = 2 squares and -4 Q^4 share no sign) has no wild row
+    # set of the intersection, by the oracles' tests; an empty intersection
+    # (the p = 2 squares and -4 Q^4 share no sign) has no wild row
     cap = census._disc_bound(MU_BOUNDS[n, ordering], n, ordering)
     for within, tests in _intersections(n):
         local = census._mu_types(n, ordering, within)
@@ -178,7 +179,7 @@ def test_restricted_records_walk_the_reducible_classes(n, ordering):
 @given(st.data())
 def test_restricted_records_count_the_reducible_classes(data):
     # _count_types on each restricted record against the stream filtered by
-    # kummer's tests of the reducible classes, at every rung
+    # the oracles' tests of the reducible classes, at every rung
     n = data.draw(st.integers(2, 12))
     ordering = data.draw(st.sampled_from([o for o in ORDERINGS if (n, o) in MU_BOUNDS]))
     within, tests = data.draw(st.sampled_from(_intersections(n)))
@@ -568,9 +569,10 @@ def test_squarefree_counts_match_oracles_on_both_sides(monkeypatch, n, ordering,
     monkeypatch.setattr(census, "_TABLE", table)
     seen, real = [], census._squarefree_counts
 
-    def spy(z, n, Z):
+    def spy(z, mu, n):
+        Z = len(mu) - 1
         seen.append((np.count_nonzero(z <= Z) < Z, (z <= Z).any(), (z > Z).any()))
-        return real(z, n, Z)
+        return real(z, mu, n)
 
     monkeypatch.setattr(census, "_squarefree_counts", spy)
     rungs = [bmax / 2**i for i in range(10, -1, -1)]

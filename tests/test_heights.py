@@ -153,6 +153,12 @@ def test_raising_function_validation():
         RaisingFunction(4, (1.0, 2.0))  # wrong arity
     with pytest.raises(ValueError):
         RaisingFunction(3, (-1.0, 1.0))
+    # (2.0, nan) once built and gave abc_invariants (1/2, 1); (nan, 2.0)
+    # failed inside Fraction
+    for bad in (math.nan, math.inf, -math.inf):
+        for values in ((2.0, bad), (bad, 2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                RaisingFunction(3, values)
 
 
 def test_raising_height_is_disc():

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import numeric_irreducible
 from stacky.arith import FactoredInteger, factor
 from stacky.heights import HeightValue, edd
 from stacky.kummer import (
@@ -46,6 +47,25 @@ def test_irreducibility_small_cases():
     assert not is_irreducible(KummerClass(6, factor(8)))  # 8 is a cube
     assert not is_irreducible(KummerClass(12, factor(-64)))  # -64 in -4 (Q^x)^4
 
+
+# n = 12 has all three reducible sets: 9 in A_2, -8 in A_3, -4 in A_-4,
+# and -64 = (-4)^3 = -4 * 2^4 in A_3 and A_-4; -81 = -3^4 is in none, its
+# exponent 0 mod 4 but v_2 = 0, not 2 mod 4
+@settings(max_examples=200)
+@given(n=st.sampled_from((9, 10, 11, 12)), sign=st.sampled_from((1, -1)), b=st.integers(1, 5),
+       k=st.integers(1, 12), c=st.integers(1, 6), minus_four=st.booleans())
+@example(n=12, sign=1, b=3, k=2, c=1, minus_four=False)
+@example(n=12, sign=-1, b=2, k=3, c=1, minus_four=False)
+@example(n=12, sign=1, b=1, k=1, c=1, minus_four=True)
+@example(n=12, sign=1, b=2, k=1, c=1, minus_four=True)
+@example(n=12, sign=-1, b=3, k=4, c=1, minus_four=False)
+def test_irreducibility_matches_the_numeric_oracle_past_degree_8(n, sign, b, k, c, minus_four):
+    # a = +-b^k c with k | n, or -4 b^4 when 4 | n: the sets of n = 9..12
+    # (A_3; A_2 and A_5; A_11; A_2, A_3 and A_-4), which the acceptance
+    # check of n <= 8 does not reach
+    k = math.gcd(k, n)
+    a = -4 * b**4 if minus_four and n % 4 == 0 else sign * b**k * c
+    assert is_irreducible(canonical(a, n)) == numeric_irreducible(n, a), (n, a)
 
 def test_tame_local():
     cls = canonical(factor(2**1 * 3**2), 4)
