@@ -485,24 +485,24 @@ def unit_group(m: int) -> list[int]:
 
 def subgroup_generated(m: int, generators: Iterable[int]) -> list[int]:
     """Subgroup of (Z/mZ)^x generated by the given residues, sorted."""
-    gens = []
-    for g in generators:
-        g %= m
-        if m > 1 and math.gcd(g, m) != 1:
-            raise ValueError(f"generator {g} not coprime to {m}")
-        gens.append(g if m > 1 else 1)
     if m == 1:
         return [1]
-    group = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g % m
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return sorted(group)
+    span = {1}
+    for g in generators:
+        g %= m
+        if math.gcd(g, m) != 1:
+            raise ValueError(f"generator {g} not coprime to {m}")
+        _extend_span(span, g, m)
+    return sorted(span)
+
+
+def _extend_span(span: set[int], u: int, m: int) -> None:
+    """Grow the subgroup ``span`` of (Z/mZ)^x to <span, u>, in place: the
+    union of the cosets span * u^k for k below the least r with u^r in span."""
+    base, x = list(span), u
+    while x not in span:
+        span.update([x * s % m for s in base])
+        x = x * u % m
 
 
 @dataclass(frozen=True)
@@ -514,12 +514,20 @@ class CyclotomicSignature:
 
     def __post_init__(self):
         m = self.modulus
-        us = set(self.units)
+        if m < 1:
+            raise ValueError("modulus must be >= 1")
+        top = max(m - 1, 1)  # mod 1 the one unit is written 1
+        us = set()
+        for u in self.units:
+            if not 1 <= u <= top:
+                raise ValueError(f"residue {u} outside 1..{top}")
+            if u in us:
+                raise ValueError(f"residue {u} repeated")
+            if math.gcd(u, m) != 1:
+                raise ValueError(f"residue {u} not coprime to {m}")
+            us.add(u)
         if 1 not in us:
             raise ValueError("signature must contain 1")
-        for u in us:
-            if m > 1 and math.gcd(u, m) != 1:
-                raise ValueError(f"residue {u} not coprime to {m}")
         # H is a group iff g H is within H for each g of a generating set of
         # the group H spans, picked greedily: then H holds every product of
         # them, as it holds 1
@@ -527,8 +535,8 @@ class CyclotomicSignature:
         for u in sorted(us):
             if u not in span:
                 gens.append(u)
-                span = set(subgroup_generated(m, gens))
-        if m > 1 and any(g * h % m not in us for g in gens for h in us):
+                _extend_span(span, u, m)
+        if any(g * h % m not in us for g in gens for h in us):
             raise ValueError("units not closed under multiplication")
 
 

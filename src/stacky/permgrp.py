@@ -9,15 +9,20 @@ group keeps all its elements, as a (|G|, n) array of small-int images.
   keys seen so far keeps each product the first time it appears.
   Products of valid permutations are not checked again.
 * Conjugation by a generator permutes the element positions.  The
+  conjugated rows are all of G, so their keys sort to the sorted element
+  keys: one argsort of them gives every position (the k-th smallest
+  conjugated row is the k-th smallest element), and comparing the two
+  sorted key lists checks that the rows are G, each element once.  The
   conjugacy classes are the orbits of these permutations, found by a
-  vectorised union-find.
+  vectorised union-find.  The few arbitrary elements that the power maps
+  and ``class_of`` look up are binary-searched in the sorted keys.
 * The position lookup, the class list and the exponent are computed once
   per group, on first use, and cached on the ``PermGroup``.  The index and
   order of every class representative come from one numpy pass over the
   representative rows, and the exponent is the lcm of those orders.
-* A ``Permutation`` computes its cycle decomposition once and keeps it.
-  ``pow`` shifts each cycle by k modulo its length, and the order, index
-  and cycle string are read from the same cycles.
+* A ``Permutation`` computes its cycle decomposition and its cycle string
+  once and keeps them.  ``pow`` shifts each cycle by k modulo its length,
+  and the order, index and cycle string are read from the same cycles.
 """
 
 from __future__ import annotations
@@ -120,6 +125,11 @@ class Permutation:
         return math.lcm(*map(len, self._cycles))
 
     def cycle_string(self) -> str:
+        return self._cycle_string
+
+    @cached_property
+    def _cycle_string(self) -> str:
+        """Cycle notation without fixed points, "()" for the identity."""
         nontrivial = [c for c in self._cycles if len(c) > 1]
         if not nontrivial:
             return "()"
@@ -232,6 +242,20 @@ class PermGroup:
         if np.any(sorted_keys[at] != keys):
             raise ValueError("element not in group")
         return order[at]
+
+    def _permutation_positions(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in ``elements`` of |G| rows that hold every element of G
+        once, in any order: the k-th smallest row is the k-th smallest
+        element.  Unless the rows' sorted keys are the element keys, some
+        row is not in G and ValueError is raised."""
+        sorted_keys, order = self._lookup
+        keys = _row_keys(rows)
+        by_key = np.argsort(keys)
+        if not np.array_equal(keys[by_key], sorted_keys):
+            raise ValueError("element not in group")
+        positions = np.empty(self.order, dtype=np.intp)
+        positions[by_key] = order
+        return positions
 
     @cached_property
     def _partition(self) -> tuple[tuple[ConjClass, ...], np.ndarray, int]:
@@ -366,7 +390,7 @@ def _class_partition(G: PermGroup) -> tuple[tuple[ConjClass, ...], np.ndarray, i
     for h in G.generators:
         h0 = np.array(h.images, dtype=np.intp) - 1
         # (h g h^-1)(x) = h(g(h^-1(x))), on 0-based images
-        maps.append(G._positions(h0[rows[:, np.argsort(h0)]]))
+        maps.append(G._permutation_positions(h0[rows[:, np.argsort(h0)]]))
     labels = _orbit_labels(maps, G.order)
     by_class = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[by_class], prepend=-1))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from unittest import mock
 
@@ -359,6 +360,31 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         # <3> + 11 <3> mod 13: 3 maps it into itself, yet 7 * 7 = 10 is missing
         CyclotomicSignature(13, (1, 3, 7, 8, 9, 11))
+
+
+@pytest.mark.parametrize("m, units, message", [
+    (5, (1, 6), "residue 6 outside 1..4"),
+    (5, (1, 4, 9), "residue 9 outside 1..4"),
+    (5, (1, -1), "residue -1 outside 1..4"),
+    (5, (1, 0), "residue 0 outside 1..4"),
+    (5, (1, 1), "residue 1 repeated"),
+    (5, (1, 4, 4), "residue 4 repeated"),
+    (1, (1, 2), "residue 2 outside 1..1"),
+    (1, (1, 1), "residue 1 repeated"),
+    (1, (0,), "residue 0 outside 1..1"),
+    (0, (1,), "modulus must be >= 1"),
+])
+def test_signature_rejects_residues_outside_the_range_or_repeated(m, units, message):
+    # a residue outside 1..m-1 aliases one inside (6 is 1 and -1 is 4 mod 5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CyclotomicSignature(m, units)
+
+
+def test_signature_accepts_residues_in_range():
+    assert CyclotomicSignature(1, (1,)).units == (1,)
+    assert CyclotomicSignature(2, (1,)).units == (1,)
+    assert CyclotomicSignature(5, (1, 4)) == cyclotomic_image(5, [4]) == cyclotomic_image(5, [-1])
+    assert CyclotomicSignature(420, tuple(unit_group(420))) == cyclotomic_image(420, "Q")
 
 
 @settings(max_examples=300)

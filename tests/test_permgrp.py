@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,16 @@ def test_cycles_and_strings():
     assert g.cycle_string() == "(1 4)(2 5)(3 6)"
     assert identity(3).cycle_string() == "()"
     assert len(identity(3).cycles()) == 3
+
+
+def test_cycle_string_is_built_once():
+    g = from_cycles([(1, 4), (2, 5), (3, 6)], 6)
+    assert g.cycle_string() is g.cycle_string()
+    # the second call on a group reads the labels the first one built
+    G = closure(group_preset("cyclic_regular:29"))
+    first, second = (malle_invariants(G, cyclotomic_image(G.exponent, "Q")) for _ in range(2))
+    assert first == second
+    assert all(a is b for a, b in zip(first.minimal_classes, second.minimal_classes))
 
 
 def test_permutation_validation():
@@ -278,6 +290,61 @@ def small_groups(draw):
 def test_random_groups_match_brute_oracle(images):
     gens = [Permutation(tuple(im)) for im in images]
     _assert_matches_oracle(gens, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.data())
+def test_permutation_positions_match_the_binary_search(images, data):
+    # the rows of G in a drawn order: row k is element order[k]
+    G = closure([Permutation(tuple(im)) for im in images])
+    order = data.draw(st.permutations(range(G.order)))
+    rows = G.rows[list(order)]
+    assert G._permutation_positions(rows).tolist() == list(order)
+    assert np.array_equal(G._permutation_positions(rows), G._positions(rows))
+    if G.order > 1:
+        # one element twice, so another one missing
+        i, j = data.draw(st.lists(st.integers(0, G.order - 1), min_size=2, max_size=2,
+                                  unique=True))
+        repeated = rows.copy()
+        repeated[i] = rows[j]
+        with pytest.raises(ValueError, match="not in group"):
+            G._permutation_positions(repeated)
+    if G.degree > 1:
+        # one element replaced by a row of images that is not in G
+        elements = set(map(tuple, G.rows.tolist()))
+        stranger = data.draw(st.lists(st.integers(0, G.degree - 1), min_size=G.degree,
+                                      max_size=G.degree).filter(
+                                          lambda r: tuple(r) not in elements))
+        replaced = rows.copy()
+        replaced[data.draw(st.integers(0, G.order - 1))] = stranger
+        with pytest.raises(ValueError, match="not in group"):
+            G._permutation_positions(replaced)
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def test_symmetric_8_class_sizes_are_n_factorial_over_z_lambda():
+    # the class of cycle type lambda, with m_i parts of size i, has
+    # 8! / z_lambda elements, z_lambda = prod_i i^m_i m_i!
+    want = {}
+    for lam in _partitions(8, 8):
+        z = math.prod(i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam))
+        want[lam] = math.factorial(8) // z
+    assert len(want) == 22
+    G = closure(group_preset("symmetric:8"))
+    classes = conjugacy_classes(G)
+    got = {tuple(sorted(map(len, c.representative.cycles()), reverse=True)): len(c.members)
+           for c in classes}
+    assert len(classes) == 22
+    assert got == want
+    assert sorted(i for c in classes for i in c.members) == list(range(G.order))
 
 
 def test_gamma_orbits_and_malle_invariants_match_power_oracle():

@@ -40,6 +40,11 @@ symmetric:2..8, kluners_c3wrc2) and the dihedral groups of degree 20 and
 list (index, representative images, member positions), the exponent and
 ``malle_invariants`` over Q, Q(zeta_3) and Q(zeta_4).
 
+The cyclotomic section takes m = 1..120, 420 and 840.  Its entries are
+``cyclotomic_image(m, field).units`` over Q, over Q(zeta_d) for d = 1..12
+and for the explicit generator list ``CYCLOTOMIC_GENERATORS`` (or the
+exception it raises).
+
 It prints one sha256 digest per section; ``--dump`` prints the entries
 themselves first, one per line, so that two dumps can be compared with
 ``diff``.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
@@ -56,7 +61,7 @@ import sympy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from stacky.arith import factor  # noqa: E402
+from stacky.arith import cyclotomic_image, factor  # noqa: E402
 from stacky.census import (FAST_COUNTERS, ORDERINGS, LadderSpec, count,  # noqa: E402
                            enumerate_cyclic, enumerate_mu)
 from stacky.heights import (D_aprime, a_eszb_closed, darda_denominator,  # noqa: E402
@@ -94,6 +99,11 @@ GROUP_PRESETS = ([f"cyclic_regular:{n}" for n in range(2, 31)]
                  + [f"symmetric:{n}" for n in range(2, 9)] + ["kluners_c3wrc2"])
 DIHEDRAL_DEGREES = (20, 101)
 MALLE_FIELDS = ("Q", ("zeta", 3), ("zeta", 4))
+
+# cyclotomic images: the moduli, and the explicit generators, which 7 | m
+# refuses
+CYCLOTOMIC_MODULI = (*range(1, 121), 420, 840)
+CYCLOTOMIC_GENERATORS = [-1, 7]
 
 
 def _recorded(f, *args):
@@ -206,8 +216,15 @@ def permgrp_entries():
             yield f"malle {name} {field}", malle_invariants(G, signature_for_field(G, field))
 
 
+def cyclotomic_entries():
+    fields = ["Q", *(("zeta", d) for d in range(1, 13)), CYCLOTOMIC_GENERATORS]
+    for m in CYCLOTOMIC_MODULI:
+        for field in fields:
+            yield f"cyclotomic {m} {field}", _recorded(lambda: cyclotomic_image(m, field).units)
+
+
 SECTIONS = {"census": census_entries, "kummer": kummer_entries, "permgrp": permgrp_entries,
-            "factor": factor_entries}
+            "factor": factor_entries, "cyclotomic": cyclotomic_entries}
 
 
 def main() -> None:
