@@ -507,7 +507,8 @@ def _extend_span(span: set[int], u: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class CyclotomicSignature:
-    """A subgroup H of (Z/mZ)^x recording a cyclotomic character image."""
+    """A subgroup H of (Z/mZ)^x recording a cyclotomic character image.  Its
+    residues are stored sorted, so that each subgroup has one name."""
 
     modulus: int
     units: tuple[int, ...]
@@ -532,7 +533,8 @@ class CyclotomicSignature:
         # the group H spans, picked greedily: then H holds every product of
         # them, as it holds 1
         gens, span = [], {1}
-        for u in sorted(us):
+        self.__dict__["units"] = tuple(sorted(us))
+        for u in self.units:
             if u not in span:
                 gens.append(u)
                 _extend_span(span, u, m)

@@ -405,6 +405,62 @@ def _ranges(lens: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     return j, np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens - starts, lens)
 
 
+class _Plan:
+    """What ``_count_types`` reads of one record besides its caps, built
+    once per record by ``_plan``: no count and no sieve table is kept.
+
+    The units mod M, the keys of the wild costs, are the powers of a
+    generator g, and g^i matters only through i mod C, g^C being the least
+    power of g that keeps every cost.  ``wild`` holds one term (t, c, k) per
+    class t and wild cost c, k rows costing c; ``mobius_path`` whether the
+    leading types (least cost p^m) at each residue are one type of shift 0,
+    and if not, ``P[:, u]`` those at p = u mod L as a polynomial in the
+    class shift; ``rolls``
+    the row indices that shift a class row by s = 1..C-1.  ``h_table``
+    grows the table of h(p^j) to the bit length a count asks for.
+    """
+
+    def __init__(self, local: LocalTypes):
+        n, types, M, rows = local
+        costs = {c: Counter(cost for cost, _, _ in row) for c, row in enumerate(rows) if row}
+        g = next(u for u in costs if len({pow(u, i, M) for i in range(len(costs))}) == len(costs))
+        self.C = C = next(c for c in range(1, len(costs) + 1)
+                          if all(costs[pow(g, c, M) * u % M] == costs[u] for u in costs))
+        self.wild = [(t, c, k) for t in range(C) for c, k in costs[pow(g, t, M)].items()]
+        log = {pow(g, i, M): i % C for i in range(len(costs))}
+        self.m = m = min((j for ts in types for _, _, j in ts), default=0)
+        self.L = L = math.lcm(n, M)
+        self.f = {u: Counter(j for _, _, j in types[u % n]) for u in unit_group(L)}  # f(p^j)
+        P = [[0] * C for _ in range(L)]
+        for u in unit_group(L):
+            for _, e, j in types[u % n]:
+                P[u][e * log[u % M] % C] += j == m
+        self.mobius_path = all(P[u] == [1] + [0] * (C - 1) for u in unit_group(L))
+        self.P = None if self.mobius_path else np.array(P, dtype=np.int8).T
+        # G[rolls[s - 1]] is np.roll(G, s, axis=0)
+        self.rolls = [np.array([i - s for i in range(C)]) for s in range(1, C)]
+        self.bits = -1  # h_table's width
+
+    def h_table(self, bits: int) -> tuple[np.ndarray, list[int]]:
+        """H[u, j] = h(p^j) at p = u mod L for j <= bits, h(p^j) = f(p^j) -
+        f(p^m) h(p^(j - m)), and the j in m+1..bits where some h(p^j) != 0.
+        H is int64 when its entries fit, else Python ints (dtype object)."""
+        if bits > self.bits:
+            m, H = self.m, [[1] + [0] * bits for _ in range(self.L)]
+            for u, f in self.f.items():
+                h, lead = H[u], f[m]
+                for j in range(m, bits + 1):
+                    h[j] = f.get(j, 0) - lead * h[j - m]
+            self.js = [j for j in range(m + 1, bits + 1) if any(h[j] for h in H)]
+            self.H, self.bits = np.array(H), bits
+            self.H.flags.writeable = False  # h_table hands out views of it
+        H = self.H[:, :bits + 1]
+        return np.array(H.tolist()) if H.dtype == object else H, [j for j in self.js if j <= bits]
+
+
+_plan = cache(_Plan)
+
+
 def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     """How many supports ``_walk`` reaches within each |disc| cap (caps
     ascending), wild costs included, counted from the local types alone.
@@ -430,109 +486,100 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     query are built one prime of every d at a time over the spf of
     ``arith.sieve``, and read off their prefix sums.  h(p^j) = f(p^j) -
     (leading types at p) h(p^(j - m)) vanishes for j <= m, so its supports
-    are few; they are swept one prime more at a time.  Past physical
-    memory, in the table, in the sweep's supports or in the (cap, term)
-    pairs read after the sweep, the counter raises ValueError naming the
-    top cap instead of allocating.
-    """
-    n, types, M, rows = local
-    top = max(caps)
-    costs = {c: Counter(cost for cost, _, _ in row) for c, row in enumerate(rows) if row}
-    # the units mod M, the keys of costs, are the powers of g, and g^i
-    # matters only through i mod C, g^C being the least power of g that
-    # keeps every cost
-    g = next(u for u in costs if len({pow(u, i, M) for i in range(len(costs))}) == len(costs))
-    C = next(c for c in range(1, len(costs) + 1)
-             if all(costs[pow(g, c, M) * u % M] == costs[u] for u in costs))
-    # one term per class t and wild cost c within the top cap (a weight-0
-    # term when there is none)
-    wild = [(t, c, k) for t in range(C) for c, k in costs[pow(g, t, M)].items()
-            if c <= top] or [(0, 1, 0)]
-    if not any(types):  # the empty support, of class 1 (t = 0)
-        return [sum(k for t, c, k in wild if t == 0 and c <= cap) for cap in caps]
-    log = {pow(g, i, M): i % C for i in range(len(costs))}
-    bound = top // min(c for _, c, _ in wild)
-    m = min(j for ts in types for _, _, j in ts)
-    # P[u]: the leading types at residue u as a polynomial in the class
-    # shift; H[u][j] = h(p^j) at p = u mod L
-    L = math.lcm(n, M)
-    P = [[0] * C for _ in range(L)]
-    H = [[1] + [0] * bound.bit_length() for _ in range(L)]
-    for u in unit_group(L):
-        f = Counter(j for _, _, j in types[u % n])  # f(p^j)
-        for _, e, j in types[u % n]:
-            P[u][e * log[u % M] % C] += j == m
-        for j in range(m, len(H[u])):
-            H[u][j] = f[j] - f[m] * H[u][j - m]
+    are few; they are swept one prime more at a time.
 
+    All of this that depends on the record alone is its plan, ``_plan``,
+    built once per record and cached like the record: the wild terms by
+    class, m, L, the leading types and the Mobius path, the row shifts of
+    the class rows and the table of h(p^j), which grows to the bit length of
+    the largest bound asked for, so that a first call builds no more than
+    it reads.  No count, sieve or query is cached.
+
+    The memory guard counts the table first, then the sweep's supports with
+    their (cap, term) pairs as each round builds them, a piece at a time:
+    past physical memory the counter raises ValueError naming the top cap
+    before it sieves the table, builds a round's next piece or joins its
+    pieces, or forms the pairs.
+    """
+    plan, n, top = _plan(local), local.n, max(caps)
+    # the wild terms within the top cap (a weight-0 term when there is none)
+    wild = [w for w in plan.wild if w[1] <= top] or [(0, 1, 0)]
+    if not any(local.types):  # the empty support, of class 1 (t = 0)
+        return [sum(k for t, c, k in wild if t == 0 and c <= cap) for cap in caps]
+    bound = top // min(c for _, c, _ in wild)
+    m, L, C = plan.m, plan.L, plan.C
     zmax = _int_root(bound, m) if m > 1 and bound else bound  # exact, past int64 too
-    mobius_path = all(P[u] == [1] + [0] * (C - 1) for u in unit_group(L))
-    Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if mobius_path else zmax
+    Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if plan.mobius_path else zmax
     # peak memory per sieve entry, measured: 6-7 bytes on the Mobius path
     # (mu, its int32 Mertens sums and the batch past the table; the sieve
     # itself holds 5), 26-37 for one class row (the sieve, the live d, V and
     # a round's arrays) and 53 for C = 3; the guard keeps 32 a class row, so
     # that no ladder changes route
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if (Z + 1) * 32 * C > memory:
-        raise ValueError(f"|disc| cap {top} needs more than physical memory")
+
+    def guard(nbytes: int) -> None:  # before nbytes are allocated
+        if nbytes > memory:
+            raise ValueError(f"|disc| cap {top} needs more than physical memory")
+
+    guard(held := (Z + 1) * 32 * C)  # the table, sieved last, is counted first
     dtype = np.int64 if top < _INT64_TOP else object
-    # a support the sweep keeps holds W, K and R, 8 bytes each, and past
-    # int64 the Python int of K, no larger than top; a (cap, term) pair
-    # peaked at 42 bytes in int64 and 63 past it (c, i, the quotient, its
-    # root and the lookups; ru_maxrss over 1 and 21 mu:4 rungs)
-    support_bytes = 24 + (sys.getsizeof(top) if dtype is object else 0)
-    pair_bytes = 64 if dtype is object else 48
+    # bytes per support the sweep keeps and per (cap, term) pair, from
+    # tracemalloc peaks over mu:4 tame and mu:12 darda ladders: a support
+    # holds W, K, R and its first cap, 8 bytes each, and past int64 the
+    # Python int of K, no larger than top; a pair peaks at 42 bytes in int64
+    # (c, i, the quotient, its root and the lookups) and at 89 past it plus
+    # twice the quotient's Python int, no larger than top (the quotient and
+    # the root's powers)
+    big = sys.getsizeof(top) if dtype is object else 0
+    support_bytes, pair_bytes = 32 + big, (96 + 2 * big) if big else 48
 
     # p^j for each j with h(p^j) != 0, over the primes p <= bound^(1/j)
     # prime to n, so that no p^j passes bound in the sweep's dtype: index i
     # is one prime, weighted by h(p^j) at its residue
-    js = [j for j in range(m + 1, len(H[0])) if any(h[j] for h in H)]
+    H, js = plan.h_table(bound.bit_length())
     ps = np.array(primes_up_to(_int_root(bound, js[0])) if js else [], dtype=np.int64)
     ps = ps[n % ps != 0]
-    H = np.array(H)
     pw = [(H[pj % L, j], pj.astype(dtype) ** j)
-          for j in js for pj in [ps[:np.searchsorted(ps, _int_root(bound, j), "right")]]]
+          for j in js for pj in [ps[:np.searchsorted(ps, _int_root(bound, j), "right")]] if len(pj)]
     # the supports of h times each wild cost c, one prime more per sweep:
     # weight, k, the index of the largest prime and the class t beside the
-    # wild cost; a support of weight 0 counts nothing
+    # wild cost.  Each support q = k c is one term: its weight times the
+    # tame parts of class t over the d with q d^m <= cap, within the caps
+    # from its first one on, so that its (cap, term) pairs are counted with
+    # it, before the pairs are formed and anything is sieved
+    caps = np.array(caps, dtype=dtype)
     W, K, I, R = (np.array(x) for x in zip(*((k, c, -1, t) for t, c, k in wild)))
     K = K.astype(dtype)
-    sup, held = [], len(K) * support_bytes
+    sup = []
     while len(K):
-        sup.append((W, K, R))
-        y, new = top // K, [(W[:0], K[:0], I[:0], R[:0])]
+        sup.append((W, K, R, np.searchsorted(caps, K)))
+        held += len(K) * support_bytes + int((len(caps) - sup[-1][3]).sum()) * pair_bytes
+        y, new, fresh = top // K, [(W[:0], K[:0], I[:0], R[:0])], 0
+        nxt, ymax = I.min() + 1, y.max()
         for w, pj in pw:
-            # no support can pay the next prime's p^j: skip the sweep
-            if len(pj) > I.min() + 1 and pj[I.min() + 1] <= y.max():
-                cnt = np.maximum(np.searchsorted(pj, y, side="right") - I - 1, 0)
-                rep, i = _ranges(cnt, I + 1)
-                new.append((W[rep] * w[i], K[rep] * pj[i], i, R[rep]))
-        held += sum(len(k) for _, k, _, _ in new) * support_bytes
-        if held > memory:
-            raise ValueError(f"|disc| cap {top} needs more than physical memory")
+            # no support can pay the next prime's p^j, nor a higher power
+            if len(pj) <= nxt or pj[nxt] > ymax:
+                break
+            cnt = np.maximum(np.searchsorted(pj, y, side="right") - I - 1, 0)
+            rep, i = _ranges(cnt, I + 1)
+            if not w.all():  # a support of weight 0 counts nothing
+                rep, i = rep[w[i] != 0], i[w[i] != 0]
+            new.append((W[rep] * w[i], K[rep] * pj[i], i, R[rep]))
+            # each new support brings at least the pair of the top cap, whose
+            # bytes cover its share of the pieces and their concatenation
+            fresh += len(i)
+            guard(held + fresh * (support_bytes + pair_bytes))
         W, K, I, R = (np.concatenate(x) for x in zip(*new))
-        W, K, I, R = (x[nz] for nz in [W != 0] for x in (W, K, I, R))
-    # one term per support q = k c: its weight times the tame parts of class
-    # t over the d with q d^m <= B
-    Wt, Q, R = (np.concatenate(x) for x in zip(*sup))
-    del sup  # the rounds, copied into Wt, Q and R
-    # every (cap, term) pair with the term within the cap, as indices c, i:
-    # term i is within the caps from its first one on; their number grows
-    # with the rungs, and they are counted beside the supports before the
-    # sieve
-    caps = np.array(caps, dtype=dtype)
-    first = np.searchsorted(caps, Q)
-    if held + int((len(caps) - first).sum()) * pair_bytes > memory:
-        raise ValueError(f"|disc| cap {top} needs more than physical memory")
-
+    guard(held)  # every support and its pairs, before the pairs are formed
+    Wt, Q, R, first = (np.concatenate(x) for x in zip(*sup))
+    del sup  # the rounds, copied into Wt, Q, R and first
     i, c = _ranges(len(caps) - first, first)
     z = _iroot(caps[c] // Q[i], m)
     # one mu table for both paths, sieved once the queries are made
-    spf, mu = (None, mobius(Z)) if mobius_path else sieve(Z)
+    spf, mu = (None, mobius(Z)) if plan.mobius_path else sieve(Z)
     for p in _primes_of(n):
         mu[::p] = 0
-    if mobius_path:
+    if plan.mobius_path:
         g = _squarefree_counts(z, mu, n)
     else:
         # V[t, d]: the tame parts over the squarefree d prime to n, of class
@@ -543,12 +590,11 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
         live = np.flatnonzero(mu)[1:]  # d = 1 has no prime
         V = np.zeros((C, Z + 1), dtype=np.int64)  # int: float dots would start BLAS threads
         V[0, 1] = 1
-        P = np.array(P, dtype=np.int8).T
         rest, G = live, np.repeat(np.eye(C, 1, dtype=np.int64), len(live), axis=1)
         while len(live):
-            x = np.take(P, spf[rest] % L, axis=1)
+            x = np.take(plan.P, spf[rest] % L, axis=1)
             rest = rest // spf[rest]
-            G = sum((x[s] * np.roll(G, s, axis=0) for s in range(1, C)), x[0] * G)
+            G = sum((x[s] * G[r] for s, r in enumerate(plan.rolls, 1)), x[0] * G)
             V[:, live[done]] = G[:, done := np.flatnonzero(G.any(axis=0) & (rest == 1))]
             k = np.flatnonzero(G.any(axis=0) & (rest > 1))
             live, rest, G = live[k], rest[k], np.take(G, k, axis=1)
@@ -570,13 +616,10 @@ def _squarefree_counts(z: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
     s = floor(z^(1/3)): the e up to x = isqrt(z // (s + 1)) one by one; the
     rest grouped by k = z // e^2 <= s and summed by parts, the int32
     Mertens sums at isqrt(z // k) over the k prime to n, less phi_n(s) M(x).
-    Each distinct z once, in chunks of at most Z terms.
+    Each distinct z once, in chunks of at most Z terms; with no z past the
+    table the Mertens sums are not built.
     """
     Z = len(mu) - 1
-    # each running sum cast once and summed in place: a cumsum with a dtype
-    # holds a cast copy of its input beside its output
-    mertens = mu.astype(np.int32)
-    np.cumsum(mertens, out=mertens)
     inside = z <= Z
     few = np.count_nonzero(inside) < Z
     if few:
@@ -591,6 +634,12 @@ def _squarefree_counts(z: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
     if inner:
         sums[:inner] = np.add.reduceat(mu[:zs[inner - 1] + 1] != 0, np.r_[0, zs[:inner - 1] + 1],
                                        dtype=np.int64).cumsum()
+    if inner == len(zs):  # no z past the table
+        return sums[inv] if few else g
+    # each running sum cast once and summed in place: a cumsum with a dtype
+    # holds a cast copy of its input beside its output
+    mertens = mu.astype(np.int32)
+    np.cumsum(mertens, out=mertens)
     unit = np.array([math.gcd(j, n) == 1 for j in range(n)], dtype=np.int64)  # n >= 2
     coprime = np.cumsum(unit)
 

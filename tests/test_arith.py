@@ -387,6 +387,19 @@ def test_signature_accepts_residues_in_range():
     assert CyclotomicSignature(420, tuple(unit_group(420))) == cyclotomic_image(420, "Q")
 
 
+@given(st.integers(1, 120), st.lists(st.integers(-200, 200), max_size=3), st.randoms())
+def test_signature_stores_its_residues_sorted(m, gens, rng):
+    # each subgroup has one name: the residues in any order give the same
+    # signature, equal and of equal hash, with its residues sorted
+    image = cyclotomic_image(m, [g for g in gens if math.gcd(g, m) == 1])
+    units = list(image.units)
+    rng.shuffle(units)
+    shuffled = CyclotomicSignature(m, tuple(units))
+    assert shuffled == image and hash(shuffled) == hash(image)
+    assert shuffled.units == tuple(sorted(units))
+    assert CyclotomicSignature(5, (4, 1)) == CyclotomicSignature(5, (1, 4))
+
+
 @settings(max_examples=300)
 @given(st.integers(1, 60), st.data())
 def test_signature_closure_matches_double_loop(m, data):

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from collections import Counter
 from functools import cache
 from unittest import mock
@@ -15,7 +16,7 @@ import numpy as np
 from oracles import (census_measure, cyclic_fields_by_conductor, in_minus_four_fourth_powers,
                      is_qth_power, squarefree_prime_to)
 from stacky import census
-from stacky.arith import FactoredInteger, factor, primes_up_to
+from stacky.arith import FactoredInteger, factor, mobius, primes_up_to
 from stacky.arith import _iroot as int_root
 from stacky.census import (
     FAST_COUNTERS,
@@ -517,6 +518,45 @@ def test_fast_counters_match_streaming_property(case):
     assert [c for _, c in ladder.points] == [_streamed_count(key, B) for B, _ in ladder.points]
 
 
+@given(st.sampled_from(sorted(FAST_COUNTERS)), st.floats(0.0, 0.5), st.integers(0, 4))
+def test_plans_count_the_same_cold_and_warm(key, frac, doublings):
+    # each record's plan is built for a small top (cold), grown to the key's
+    # test top and read again at the small one (warm): the counts stay those
+    # of the walk, and those of a plan built for the test top alone
+    kind, n, counter, ordering = key
+
+    def ladder(top):
+        spec = LadderSpec((kind, n), counter, ordering, b0=top / 2**doublings, doublings=doublings)
+        return count(spec).points
+
+    small = _top(key) ** frac
+    census._plan.cache_clear()
+    cold = ladder(small)
+    assert [c for _, c in cold] == [_streamed_count(key, B) for B, _ in cold]
+    grown = ladder(_top(key))
+    assert ladder(small) == cold
+    census._plan.cache_clear()
+    assert ladder(_top(key)) == grown
+
+
+@pytest.mark.parametrize("key", [
+    ("mu", 6, "M", "darda"),  # the T record and the restricted ones
+    ("cyclic", 6, "M", "disc_exact"),  # one record per d | 6
+    ("mu", 3, "T", "disc_exact"),
+])
+def test_count_builds_each_plan_once(key):
+    kind, n, counter, ordering = key
+    spec = LadderSpec((kind, n), counter, ordering, b0=_top(key) / 2**8, doublings=8)
+    census._plan.cache_clear()
+    want = count(spec)
+    built = census._plan.cache_info()
+    assert built.misses == built.currsize >= 1 and built.hits == 0
+    for k in range(1, 4):
+        assert count(spec) == want
+        info = census._plan.cache_info()
+        assert (info.misses, info.hits) == (built.misses, k * built.misses)
+
+
 # 4 table entries send every even n past the table, into the Mobius sums,
 # 6, 10 and 12 with an odd prime beside 2 among them
 @pytest.mark.parametrize("table", [census._TABLE, 4])
@@ -584,6 +624,23 @@ def test_squarefree_counts_match_oracles_on_both_sides(monkeypatch, n, ordering,
         squarefree = squarefree_prime_to(2, math.floor(bmax))
         assert got == [sum(k * squarefree[math.floor(B) // c]
                            for c, k in QUADRATIC_COSTS[ordering].items()) for B in rungs]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@given(Z=st.integers(1, 600), data=st.data())
+def test_squarefree_counts_within_the_table(n, Z, data):
+    # every z within the table: the counts come from |mu| alone, at z = 1,
+    # at z = Z and at drawn z, fewer than Z of them (summed between their
+    # distinct values) or at least Z (read off the running count)
+    mu = mobius(Z)
+    for p, _ in factor(n).factors:
+        mu[::p] = 0
+    drawn = data.draw(st.lists(st.integers(1, Z), max_size=2 * Z))
+    oracle = squarefree_prime_to(n, Z)
+    for z in ([1], [Z], [1, Z] + drawn):
+        got = census._squarefree_counts(np.array(z, dtype=np.int64), mu, n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [oracle[x] for x in z]
 
 
 def test_darda_cap_past_the_float_range_is_a_value_error():
@@ -784,3 +841,35 @@ def test_fit_json():
     res = fit(_planted_ladder(1.0, 0.0, 1.0, rungs))
     obj = res.to_json()
     assert set(obj) == {"alpha", "beta", "gamma", "residual_rms", "window"}
+
+
+# ladders whose memory is the h sweep's supports and their (cap, term)
+# pairs: mu_4 in int64, mu_12 darda and mu_6 M darda (restricted records)
+# past 2^62 in Python ints
+@pytest.mark.parametrize("target,counter,ordering,top,doublings", [
+    (("mu", 4), "T", "disc_tame", 1e16, 20),
+    (("mu", 12), "T", "darda", 3.0, 10),
+    (("mu", 6), "M", "darda", 11.0, 10),
+])
+def test_memory_guard_covers_the_traced_peak(monkeypatch, target, counter, ordering, top,
+                                             doublings):
+    # with physical memory reported just below the peak tracemalloc traces
+    # over the ladder, the guard raises before the counter could pass it;
+    # with three times the peak it counts
+    spec = LadderSpec(target, counter, ordering, b0=top / 2**doublings, doublings=doublings)
+    want = count(spec)  # the plans and the cached primes built outside the trace
+    tracemalloc.start()
+    try:
+        assert count(spec) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > 2**22  # the sweep and the pairs, not the fixed costs, set the peak
+    for pages, fits in ((peak // 4096, False), (3 * peak // 4096, True)):
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name, pages=pages: pages if name == "SC_PHYS_PAGES" else 4096)
+        if fits:
+            assert count(spec) == want
+        else:
+            with pytest.raises(ValueError, match="physical memory"):
+                count(spec)

@@ -47,7 +47,10 @@ exception it raises).
 
 It prints one sha256 digest per section; ``--dump`` prints the entries
 themselves first, one per line, so that two dumps can be compared with
-``diff``.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
+``diff``.  The census section runs twice in the one process: first cold,
+each counter building its records' plans, then warm, reading the plans
+the first pass built and grew; the tool exits non-zero if the two digests
+differ.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
 """
 
 import argparse
@@ -227,18 +230,25 @@ SECTIONS = {"census": census_entries, "kummer": kummer_entries, "permgrp": permg
             "factor": factor_entries, "cyclotomic": cyclotomic_entries}
 
 
+def section_digest(section_entries, dump: bool) -> str:
+    digest = hashlib.sha256()
+    for name, value in section_entries():
+        line = f"{name}: {value}"
+        digest.update(line.encode() + b"\n")
+        if dump:
+            print(line, flush=True)
+    return digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", action="store_true", help="print every entry before the digest")
     args = parser.parse_args()
     for section, section_entries in SECTIONS.items():
-        digest = hashlib.sha256()
-        for name, value in section_entries():
-            line = f"{name}: {value}"
-            digest.update(line.encode() + b"\n")
-            if args.dump:
-                print(line, flush=True)
-        print(f"{section} sha256 {digest.hexdigest()}", flush=True)
+        digest = section_digest(section_entries, args.dump)
+        print(f"{section} sha256 {digest}", flush=True)
+        if section == "census" and (warm := section_digest(section_entries, False)) != digest:
+            sys.exit(f"census sha256 {warm} on the warm pass, {digest} on the cold one")
 
 
 if __name__ == "__main__":
