@@ -12,7 +12,8 @@ dividing d, where order k needs k | p - 1, the Galois twist between the
 two stacks.  Both enumerators, ``enumerate_mu`` and ``enumerate_cyclic``,
 read their record through one walk, ``_walk``, over supports of
 increasing primes pruned by the partial |disc|, each beside its wild rows
-(no caller depends on the order within a support).  ``count`` looks each
+(no caller depends on the order within a support), from the prime table
+the record's plan keeps.  ``count`` looks each
 ladder target up in ``FAST_COUNTERS``, and any target outside it raises.
 Every key there goes through one local-type counter, ``_count_types``,
 which counts what the walk reaches from the same record, on numpy arrays
@@ -29,6 +30,7 @@ from there on; a ladder past physical memory raises ValueError.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -139,50 +141,43 @@ def _walk(local: LocalTypes, disc_bound: int):
     """Every support of increasing tame primes, one type of ``local.types``
     chosen per prime, beside each wild row of its class, with |disc| <=
     disc_bound, as (pairs, tag, |disc|): the (p, payload) pairs of the tame
-    and wild primes merged in prime order.  Each support comes before its
-    extensions, the empty one first, and its wild rows cheapest first.
+    and wild primes merged in prime order.  The empty support comes first,
+    each support before its extensions, and its wild rows cheapest first.
 
-    The least type cost p^m caps the primes and prunes each support; a
-    cap whose primes pass the sieve limit raises ValueError naming it
-    before anything is sieved.  A record with no tame type walks the empty
-    support alone.
+    One loop over an explicit stack of the supports that can pay the next
+    prime's least cost reads a prefix of the record's prime table,
+    ``_Plan.prime_table``, and emits each support's wild rows as it makes
+    the support.  A cap whose primes pass the sieve limit raises ValueError
+    naming it before anything is sieved.  A record with no tame type walks
+    the empty support alone.
     """
-    n, types, M, wild = local
-    least = min((j for ts in types for _, _, j in ts), default=math.inf)
-    limit = int(disc_bound ** (1.0 / least)) + 2
-    if limit >= 2**31:
-        raise ValueError(f"|disc| cap {disc_bound} needs primes past the sieve limit 2^31")
-    # per prime: its least cost, and per type the pair, p^e mod M and p^j
-    primes = [(p**least, [((p, t), pow(p, e, M), p**j) for t, e, j in ts])
-              for p in primes_up_to(limit) if (ts := types[p % n])]
-
-    def rec(idx: range, pairs: tuple, c: int, disc: int):
-        for i in idx:
+    plan, M = _plan(local), local.M
+    (primes, hi), rows = plan.prime_table(disc_bound), plan.rows
+    for cost, wpairs, tag, _ in rows[1 % M]:  # the empty support
+        if cost > disc_bound:
+            break
+        yield wpairs, tag, cost
+    # (index of the next prime, pairs, class mod M, |disc|) of each support
+    # with an extension left to make
+    stack = [(0, (), 1 % M, 1)]
+    while stack:
+        i, pairs, c, disc = stack.pop()
+        for i in range(i, hi):
             least, ts = primes[i]
             if disc * least > disc_bound:
                 break
-            # a support that cannot pay the next prime's least cost is a
-            # leaf: no generator is started for its extensions
-            nxt = primes[i + 1][0] if i + 1 < len(primes) else disc_bound + 1
             for pair, pe, pj in ts:
-                d = disc * pj
-                if d <= disc_bound:
-                    s = pairs + (pair,), c * pe % M, d
-                    yield s
-                    if d * nxt <= disc_bound:
-                        yield from rec(range(i + 1, len(primes)), *s)
-
-    supports = rec(range(len(primes)), (), 1 % M, 1)
-    # each wild row with its largest prime (0 for none; none passes n)
-    wild = [[(cost, w, tag, w[-1][0] if w else 0) for cost, w, tag in row] for row in wild]
-    for pairs, c, disc in itertools.chain([((), 1 % M, 1)], supports):
-        low = pairs[0][0] if pairs else n + 1
-        for cost, wpairs, tag, top in wild[c]:  # cheapest first
-            d = disc * cost
-            if d > disc_bound:
-                break
-            # the pairs are in prime order unless a tame prime lies below a wild one
-            yield (wpairs + pairs if low > top else tuple(sorted(wpairs + pairs))), tag, d
+                if (d := disc * pj) > disc_bound:
+                    continue
+                # the support, its class and its least prime
+                s, t, low = pairs + (pair,), c * pe % M, (pairs[0] if pairs else pair)[0]
+                for cost, wpairs, tag, top in rows[t]:  # cheapest first
+                    if (dw := d * cost) > disc_bound:
+                        break
+                    # the pairs are in prime order unless a tame prime lies below a wild one
+                    yield (wpairs + s if low > top else tuple(sorted(wpairs + s))), tag, dw
+                if i + 1 < hi and d * primes[i + 1][0] <= disc_bound:
+                    stack.append((i + 1, s, t, d))
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +187,23 @@ def _walk(local: LocalTypes, disc_bound: int):
 def _disc_bound(Bmax: float, n: int, ordering: str) -> int:
     """Largest |disc| d with measure <= Bmax.  Under darda it is the largest
     integer d with d ** (1/N) <= Bmax, the float test ``enumerate_mu``
-    applies, found by bisection; a cap past 2^1023, where the test leaves
+    applies.  It is the float estimate est = Bmax^N or within est / 2^42
+    of it (N ulps of the power and ln(d) ulps of the exponent 1/N): the
+    bracket [est, est + 1] is widened at each end by 1 + est / 2^42, then by
+    twice as much each time, until the test holds at its foot and fails at
+    its head, and then bisected.  A cap past 2^1023, where the test leaves
     the float range, raises ValueError, as does a Bmax that is not finite."""
     if not math.isfinite(Bmax):
         raise ValueError(f"Bmax must be finite, got {Bmax}")
     if ordering != "darda":
         return math.floor(Bmax)
-    x = 1.0 / darda_denominator(n)
-    if (2**1023) ** x <= Bmax:  # the doubling below would pass the float range
-        raise ValueError(f"darda bound {Bmax:g}: |disc| cap {Bmax:g}^{round(1 / x)} passes 2^1023")
-    lo, hi = 0, 1  # hi fails the test, lo passes or is 0
-    while hi**x <= Bmax:
-        lo, hi = hi, 2 * hi
+    x = 1.0 / (N := darda_denominator(n))
+    if (2.0**1023) ** x <= Bmax:  # the cap passes the float range
+        raise ValueError(f"darda bound {Bmax:g}: |disc| cap {Bmax:g}^{N} passes 2^1023")
+    est = int(max(Bmax, 0.0) ** N)  # 0 where 1 ** x fails the test
+    lo, hi, step = est, est + 1, 1 + (est >> 42)
+    while (lo and lo**x > Bmax) or hi**x <= Bmax:  # until lo passes or is 0, and hi fails
+        lo, hi, step = max(lo - step, 0), hi + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid**x <= Bmax else (lo, mid)
@@ -231,11 +231,12 @@ def enumerate_mu(n: int, Bmax: float,
     disc_bound = _disc_bound(Bmax, n, ordering)
     if disc_bound < 1:
         return
-    darda_exp = 1.0 / darda_denominator(n)
-    for factors, sign, d in _walk(_mu_types(n, ordering), disc_bound):
-        m = d ** darda_exp if ordering == "darda" else d
-        if m <= Bmax:
-            yield KummerClass(n, FactoredInteger(sign, factors)), m
+    walk = _walk(_mu_types(n, ordering), disc_bound)
+    if ordering == "darda":  # else the measure is |disc| <= disc_bound = floor(Bmax)
+        x = 1.0 / darda_denominator(n)
+        walk = ((factors, sign, m) for factors, sign, d in walk if (m := d**x) <= Bmax)
+    for factors, sign, m in walk:
+        yield KummerClass(n, FactoredInteger(sign, factors)), m
 
 
 def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
@@ -406,8 +407,15 @@ def _ranges(lens: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Plan:
-    """What ``_count_types`` reads of one record besides its caps, built
-    once per record by ``_plan``: no count and no sieve table is kept.
+    """What ``_walk`` and ``_count_types`` read of one record besides their
+    caps, built once per record by ``_plan``: no count, sieve or stream is
+    kept.
+
+    The walk reads m, the least type cost p^m (0 with no tame type);
+    ``rows``, each wild row of each class with its largest prime (0 for
+    none); and ``prime_table``, which grows the table of the tame primes'
+    types to the largest prime limit a walk asks for and keeps it, as
+    ``h_table`` keeps H.
 
     The units mod M, the keys of the wild costs, are the powers of a
     generator g, and g^i matters only through i mod C, g^C being the least
@@ -415,14 +423,17 @@ class _Plan:
     class t and wild cost c, k rows costing c; ``mobius_path`` whether the
     leading types (least cost p^m) at each residue are one type of shift 0,
     and if not, ``P[:, u]`` those at p = u mod L as a polynomial in the
-    class shift; ``rolls``
-    the row indices that shift a class row by s = 1..C-1.  ``h_table``
-    grows the table of h(p^j) to the bit length a count asks for.
+    class shift; ``rolls`` the row indices that shift a class row by
+    s = 1..C-1.  ``h_table`` grows the table of h(p^j) to the bit length a
+    count asks for.
     """
 
     def __init__(self, local: LocalTypes):
         n, types, M, rows = local
-        costs = {c: Counter(cost for cost, _, _ in row) for c, row in enumerate(rows) if row}
+        # prime_table's limit and entries, one tuple so that a walk reads them together
+        self.local, self.table = local, (0, [])
+        self.rows = [[(cost, w, tag, w[-1][0] if w else 0) for cost, w, tag in row] for row in rows]
+        costs = {c: Counter(r[0] for r in row) for c, row in enumerate(rows) if math.gcd(c, M) == 1}
         g = next(u for u in costs if len({pow(u, i, M) for i in range(len(costs))}) == len(costs))
         self.C = C = next(c for c in range(1, len(costs) + 1)
                           if all(costs[pow(g, c, M) * u % M] == costs[u] for u in costs))
@@ -440,6 +451,23 @@ class _Plan:
         # G[rolls[s - 1]] is np.roll(G, s, axis=0)
         self.rolls = [np.array([i - s for i in range(C)]) for s in range(1, C)]
         self.bits = -1  # h_table's width
+
+    def prime_table(self, disc_bound: int) -> tuple[list, int]:
+        """The walk's entries for the primes p with a tame type, ascending:
+        (p^m, [((p, payload), p^e mod M, p^j) per type]), grown to the primes
+        the cap disc_bound can reach, and how many of them have p^m <=
+        disc_bound.  A cap whose primes pass the sieve limit raises
+        ValueError naming it before anything is sieved."""
+        (n, types, M, _), m, (limit, primes) = self.local, self.m, self.table
+        need = int(disc_bound ** (1.0 / m)) + 2 if m else 0  # m = 0: no tame type
+        if need >= 2**31:
+            raise ValueError(f"|disc| cap {disc_bound} needs primes past the sieve limit 2^31")
+        if need > limit:
+            # a new list: a walk already running keeps reading its own
+            primes = primes + [(p**m, [((p, t), pow(p, e, M), p**j) for t, e, j in ts])
+                               for p in primes_up_to(need) if p > limit and (ts := types[p % n])]
+            self.table = need, primes
+        return primes, bisect.bisect_right(primes, disc_bound, key=lambda entry: entry[0])
 
     def h_table(self, bits: int) -> tuple[np.ndarray, list[int]]:
         """H[u, j] = h(p^j) at p = u mod L for j <= bits, h(p^j) = f(p^j) -
@@ -510,18 +538,21 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     m, L, C = plan.m, plan.L, plan.C
     zmax = _int_root(bound, m) if m > 1 and bound else bound  # exact, past int64 too
     Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if plan.mobius_path else zmax
-    # peak memory per sieve entry, measured: 6-7 bytes on the Mobius path
+    # peak memory per sieve entry, measured: 6-11 bytes on the Mobius path
     # (mu, its int32 Mertens sums and the batch past the table; the sieve
-    # itself holds 5), 26-37 for one class row (the sieve, the live d, V and
-    # a round's arrays) and 53 for C = 3; the guard keeps 32 a class row, so
-    # that no ladder changes route
+    # itself holds 5), where the guard keeps 32 a class; with class rows 5
+    # for the sieve and 8 a row for V, then per live d (up to 0.56 of the
+    # entries, 6/pi^2 less the d that share a prime with n) its first
+    # round's arrays: 28-43 bytes in all for one row (mu_11 and mu_7 the
+    # most), 93 for C = 3, where the guard keeps 16 + 32 C
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
     def guard(nbytes: int) -> None:  # before nbytes are allocated
         if nbytes > memory:
             raise ValueError(f"|disc| cap {top} needs more than physical memory")
 
-    guard(held := (Z + 1) * 32 * C)  # the table, sieved last, is counted first
+    # the table, sieved last, is counted first
+    guard(held := (Z + 1) * (32 * C if plan.mobius_path else 16 + 32 * C))
     dtype = np.int64 if top < _INT64_TOP else object
     # bytes per support the sweep keeps and per (cap, term) pair, from
     # tracemalloc peaks over mu:4 tame and mu:12 darda ladders: a support

@@ -10,8 +10,11 @@ groups come from a plain breadth-first closure and brute-force conjugation
 on image tuples, power-map orbits from repeated composition, and cyclic
 fields come from a scan of every conductor f over every character of
 (Z/fZ)^x, unit subgroups from a check of every product of two residues,
-squarefree counts from a plain bytearray sieve, and n-th-power-free
-reductions from ``sympy.factorint``.  The one exception is
+squarefree counts from a plain bytearray sieve, n-th-power-free
+reductions from ``sympy.factorint``, the census supports of a local-type
+record from a recursive walk, one generator per support, over the primes
+of a plain sieve, and darda |disc| caps from a bisection started at 1.
+The one exception is
 ``census_measure``, the slow path that measures a census class through the
 library's assembled ``discriminant()``; the integer kernel of
 ``enumerate_mu`` is checked against it.
@@ -484,6 +487,56 @@ def squarefree_prime_to(n: int, limit: int) -> array:
     for q in squares + [q for q in range(2, n + 1) if n % q == 0]:
         keep[q::q] = bytes(len(range(q, limit + 1, q)))
     return array("q", itertools.accumulate(keep))
+
+
+# ---------------------------------------------------------------------------
+# census supports and darda caps
+
+
+def reference_walk(local, disc_bound: int):
+    """Every support of a census record (n, types, M, wild) within
+    disc_bound beside each wild row of its class, as (pairs, tag, |disc|),
+    by recursion: one generator per support, each support before its
+    extensions, the empty one first, and its wild rows cheapest first.
+    types[u] lists the (payload, class exponent, cost) of a tame prime
+    p = u mod n, and wild[c] the (cost, pairs, tag) rows of class c mod M."""
+    n, types, M, wild = local
+    least = min((j for ts in types for _, _, j in ts), default=math.inf)
+    limit = int(disc_bound ** (1.0 / least)) + 2
+    spf = _spf_table(limit)
+    primes = [(p**least, [((p, t), pow(p, e, M), p**j) for t, e, j in ts])
+              for p in range(2, limit + 1) if spf[p] == p and (ts := types[p % n])]
+
+    def rec(i0: int, pairs: tuple, c: int, disc: int):
+        for i in range(i0, len(primes)):
+            least, ts = primes[i]
+            if disc * least > disc_bound:
+                break
+            for pair, pe, pj in ts:
+                d = disc * pj
+                if d <= disc_bound:
+                    s = pairs + (pair,), c * pe % M, d
+                    yield s
+                    yield from rec(i + 1, *s)
+
+    for pairs, c, disc in itertools.chain([((), 1 % M, 1)], rec(0, (), 1 % M, 1)):
+        for cost, wpairs, tag in wild[c]:
+            if disc * cost > disc_bound:
+                break
+            yield tuple(sorted(wpairs + pairs)), tag, disc * cost
+
+
+def darda_cap_bisection(Bmax: float, N: int) -> int:
+    """The largest integer d with d ** (1/N) <= Bmax, for a cap below
+    2^1023: doubling from 1 past it, then bisecting."""
+    x = 1.0 / N
+    lo, hi = 0, 1  # hi fails the test, lo passes or is 0
+    while hi**x <= Bmax:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**x <= Bmax else (lo, mid)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import numpy as np
-from oracles import (census_measure, cyclic_fields_by_conductor, in_minus_four_fourth_powers,
-                     is_qth_power, squarefree_prime_to)
+from oracles import (census_measure, cyclic_fields_by_conductor, darda_cap_bisection,
+                     in_minus_four_fourth_powers, is_qth_power, reference_walk, squarefree_prime_to)
 from stacky import census
 from stacky.arith import FactoredInteger, factor, mobius, primes_up_to
 from stacky.arith import _iroot as int_root
@@ -28,7 +28,7 @@ from stacky.census import (
     enumerate_mu,
     fit,
 )
-from stacky.heights import sectors
+from stacky.heights import darda_denominator, sectors
 from stacky.kummer import KummerClass, canonical, discriminant, is_irreducible, wild_exponent
 
 SEED = 20260824
@@ -175,6 +175,57 @@ def test_restricted_records_walk_the_reducible_classes(n, ordering):
     if n == 12:  # A_3 and -4 Q^4 meet in -64: no tame type, one wild row
         local = census._mu_types(n, ordering, ((3, 0, (1, -1)), (4, 2, (-1,))))
         assert not any(local.types) and local.wild == (((1, ((2, 6),), -1),),)
+
+
+@st.composite
+def _walk_records(draw):
+    """A census record, ``_mu_types(n, ordering, within)`` or
+    ``_cyclic_types(n, d)``, with the |disc| cap of its test bound."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        ordering = draw(st.sampled_from([o for o in ORDERINGS if (n, o) in MU_BOUNDS]))
+        within = draw(st.sampled_from([()] + [w for w, _ in _intersections(n)]))
+        return census._mu_types(n, ordering, within), census._disc_bound(MU_BOUNDS[n, ordering],
+                                                                          n, ordering)
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return census._cyclic_types(n, d), math.floor(CYCLIC_BOUNDS[n])
+
+
+@given(_walk_records(), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32))
+# 15 = 3 * 5: the support {3} is extended though the next prime meets the cap
+@example(record=(census._mu_types(2, "disc_tame"), 15), frac=1.0, exact=False, pick=0)
+def test_walk_matches_the_reference_walk(record, frac, exact, pick):
+    # the one-loop walk emits the recursive walk's multiset; each support's
+    # rows run together cheapest first, the empty support first and each
+    # support after its parent (less its largest tame prime) where that is
+    # emitted; a plan whose table grew past the cap walks as a fresh one.
+    # The cap is drawn, or an emitted |disc|, so that it is met exactly
+    local, top = record
+    cap = math.floor(top**frac)
+    want = Counter(reference_walk(local, cap))
+    if want and exact:
+        discs = sorted({d for _, _, d in want})
+        cap = discs[pick % len(discs)]
+        want = Counter(reference_walk(local, cap))
+    fresh, grown = census._Plan(local), census._Plan(local)
+    grown.prime_table(4 * top)
+    with mock.patch.object(census, "_plan", lambda _: fresh):
+        walked = list(census._walk(local, cap))
+    with mock.patch.object(census, "_plan", lambda _: grown):
+        assert list(census._walk(local, cap)) == walked
+    assert Counter(walked) == want
+    first, last = {}, {}
+    for k, (pairs, _, _) in enumerate(walked):
+        support = tuple(pair for pair in pairs if local.n % pair[0])  # the tame primes
+        first.setdefault(support, k)
+        assert last.get(support, k - 1) == k - 1  # a support's rows run together
+        last[support] = k
+        parent = support[:-1]
+        assert not support or parent not in first or first[parent] < first[support]
+    assert first.get((), 0) == 0
+    for support, k in first.items():
+        discs = [d for _, _, d in walked[k:last[support] + 1]]
+        assert discs == sorted(discs)
 
 
 @given(st.data())
@@ -655,6 +706,24 @@ def test_darda_cap_past_the_float_range_is_a_value_error():
             call()
 
 
+@given(st.data())
+def test_disc_bound_matches_the_bisection(data):
+    # the darda cap bracketed about Bmax^N is the one bisected from 1, at
+    # random bounds and at the measures d^(1/N) enumerate_mu emits and the
+    # floats on either side of them
+    n = data.draw(st.integers(2, 12))
+    N = darda_denominator(n)
+    ceiling = (2.0**1023) ** (1 / N)  # the caps stay below 2^1023
+    if data.draw(st.booleans()):
+        B = data.draw(st.one_of(st.floats(-2.0, 2.0), st.floats(0.0, ceiling, exclude_max=True)))
+    else:
+        d = data.draw(st.integers(1, 2 ** data.draw(st.integers(0, 1022))))
+        m = d ** (1 / N)
+        B = data.draw(st.sampled_from([math.nextafter(m, 0), m, math.nextafter(m, math.inf)]))
+        assume(B < ceiling)
+    assert census._disc_bound(B, n, "darda") == darda_cap_bisection(B, N)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_count_mu_darda_boundaries(n):
     # a darda rung at a measure d^(1/N) the stream attains counts d, and the
@@ -845,11 +914,12 @@ def test_fit_json():
 
 # ladders whose memory is the h sweep's supports and their (cap, term)
 # pairs: mu_4 in int64, mu_12 darda and mu_6 M darda (restricted records)
-# past 2^62 in Python ints
+# past 2^62 in Python ints; and one whose memory is a class row, mu_7 darda
 @pytest.mark.parametrize("target,counter,ordering,top,doublings", [
     (("mu", 4), "T", "disc_tame", 1e16, 20),
     (("mu", 12), "T", "darda", 3.0, 10),
     (("mu", 6), "M", "darda", 11.0, 10),
+    (("mu", 7), "T", "darda", 6.0, 8),
 ])
 def test_memory_guard_covers_the_traced_peak(monkeypatch, target, counter, ordering, top,
                                              doublings):
@@ -864,7 +934,7 @@ def test_memory_guard_covers_the_traced_peak(monkeypatch, target, counter, order
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak > 2**22  # the sweep and the pairs, not the fixed costs, set the peak
+    assert peak > 2**22  # the sweep, the pairs or the table, not the fixed costs, set the peak
     for pages, fits in ((peak // 4096, False), (3 * peak // 4096, True)):
         monkeypatch.setattr(os, "sysconf",
                             lambda name, pages=pages: pages if name == "SC_PHYS_PAGES" else 4096)

@@ -9,9 +9,9 @@ The census section has four kinds of entries:
 - ``count()`` over the whole key grid, kinds mu and cyclic, n = 2..12,
   counters T and M and every ordering, on the one small ladder of
   ``GRID_LADDER``: the counts, or the rejection's type and message;
-- ``enumerate_mu(n, B, ordering)`` for n = 2..6 under every ordering it
-  takes, at the |disc| caps of ``ENUM_CAPS``: the sorted multiset of
-  (a, measure) pairs;
+- ``enumerate_mu(n, B, ordering)`` for n = 2..12 under every ordering it
+  takes (disc_tame and darda past n = 3), at the |disc| caps of
+  ``ENUM_CAPS``: the sorted multiset of (a, measure) pairs;
 - ``enumerate_cyclic(n, B)`` for n = 2..12 at the bounds of
   ``CYCLIC_BOUNDS``: the sorted (conductor, character, |disc|) triples.
 
@@ -80,8 +80,10 @@ LADDERS = ((1e3, 30), (7.3, 30), (1e6, 24))
 # that streams some keys (mu:n M for composite n, caps past 2^62) also
 # finishes in seconds
 GRID_LADDER = (10, 16)
-# |disc| caps per n; darda bounds are the cap ** (1/N)
-ENUM_CAPS = {2: 3 * 10**4, 3: 10**6, 4: 10**7, 5: 10**9, 6: 10**9}
+# |disc| caps per n; darda bounds are the cap ** (1/N); n = 7..12 stream
+# 2,000-15,000 classes each
+ENUM_CAPS = {2: 3 * 10**4, 3: 10**6, 4: 10**7, 5: 10**9, 6: 10**9, 7: 10**10, 8: 10**9,
+             9: 10**10, 10: 3 * 10**9, 11: 10**12, 12: 10**9}
 # |disc| bounds per n, about 0.3 s in all; 10: 1e14 reaches conductors 75
 # and 132, where a tame prime lies below a wild one
 CYCLIC_BOUNDS = {2: 5e4, 3: 1e8, 4: 1e8, 5: 1e15, 6: 1e8, 7: 1e16, 8: 1e13, 9: 1e16,
