@@ -367,6 +367,18 @@ def test_tame_local_types_differ_by_the_galois_twist(n):
 
 
 @pytest.mark.parametrize("n", range(2, 13))
+def test_cyclic_records_are_the_mu_records_untwisted(n):
+    # at each unit u mod n, B(Z/nZ) admits the costs of the Bmu_n types
+    # whose order k = n / gcd(e, n) divides gcd(n, u - 1): the twist drops
+    # the rest; at u = 1 it drops none
+    mu, cyc = census._mu_types(n, "disc_tame").types, census._cyclic_types(n, n).types
+    for u in (u for u in range(n) if math.gcd(u, n) == 1):
+        want = [j for e, _, j in mu[u] if math.gcd(n, u - 1) % (n // math.gcd(e, n)) == 0]
+        assert [j for _, _, j in cyc[u]] == want, u
+    assert [j for _, _, j in cyc[1]] == [j for _, _, j in mu[1]]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_count_cyclic_reads_the_local_characters(monkeypatch, n):
     # _count_cyclic counts C_d, the characters of order dividing d, for
     # every d | n with mu(n/d) != 0 (C_1 = 1 needs no count): its tame types
