@@ -4,16 +4,20 @@ ladders T(B)/M(B), and fit the exponents of B^alpha (log B)^beta.
 Each stack's local data is one cached record, ``LocalTypes``: the tame
 types a prime p admits at each residue u mod n, as (payload, class
 exponent, cost), and the wild rows beside a tame part of each class mod M,
-cheapest first.  ``_mu_types`` builds it for Bmu_n, whose tame primes admit
-every twisted sector of ``heights.sectors`` (order k | n, cost
-p^(n - n/k)) and whose wild rows are the sign and the wild exponents;
-``_cyclic_types`` builds it for B(Z/nZ) from the local characters of order
-dividing d, where order k needs k | p - 1, the Galois twist between the
-two stacks.  Both enumerators, ``enumerate_mu`` and ``enumerate_cyclic``,
-read their record through one walk, ``_walk``, over supports of
-increasing primes pruned by the partial |disc|, each beside its wild rows
-(no caller depends on the order within a support), from the prime table
-the record's plan keeps.  ``count`` looks each
+cheapest first.  The two stacks are twists, one group under two Galois
+actions, and one rule, ``_tame_types``, gives both their tame types: the
+sectors e of ``heights.sectors`` (order k = n / gcd(e, n), cost
+p^(n - gcd(e, n))) that tame inertia can take at p.  Frobenius conjugates
+tame inertia to its p-th power, so p e = Frob(e): under the cyclotomic
+action on mu_n that holds for every e, under the trivial action on Z/nZ
+only when k | p - 1, the Galois twist.  ``_mu_types`` builds the record of
+Bmu_n, with the sign and the wild exponents as wild rows;
+``_cyclic_types`` that of B(Z/nZ), its characters of order dividing d,
+with the wild local characters.  Both enumerators, ``enumerate_mu`` and
+``enumerate_cyclic``, read their record through one walk, ``_walk``, over
+supports of increasing primes pruned by the partial |disc|, each beside
+its wild rows (no caller depends on the order within a support), from the
+prime table the record's plan keeps.  ``count`` looks each
 ladder target up in ``FAST_COUNTERS``, and any target outside it raises.
 Every key there goes through one local-type counter, ``_count_types``,
 which counts what the walk reaches from the same record, on numpy arrays
@@ -78,8 +82,9 @@ class CountLadder:
                 w.writerow([repr(b), c])
 
     @classmethod
-    def from_csv(cls, path: str, target: str = "?", counter: str = "?",
-                 ordering: str = "?") -> "CountLadder":
+    def from_csv(cls, path: str) -> "CountLadder":
+        """The ladder a CSV of ``to_csv`` holds, its target, counter and
+        ordering unknown ("?")."""
         points = [(0.0, 0)]  # a floor: the first B must be positive
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
@@ -95,7 +100,7 @@ class CountLadder:
                 if not (points[-1][0] < b < math.inf and c >= 0):
                     raise ValueError(f"line {rd.line_num}: expected B,count, B rising, got {row}")
                 points.append((b, c))
-        return cls(target, counter, ordering, tuple(points[1:]))
+        return cls("?", "?", "?", tuple(points[1:]))
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,21 @@ class LadderSpec:
 # cheapest first, none where c is no unit: the wild primes' share of |disc|,
 # their (p, payload) pairs in prime order and a tag for the caller.
 LocalTypes = NamedTuple("LocalTypes", [("n", int), ("types", tuple), ("M", int), ("wild", tuple)])
+
+
+def _tame_types(n: int, d: int, twisted: bool) -> tuple:
+    """The ``types`` of a census record: at each unit residue u mod n, the
+    sectors e of ``heights.sectors(n)`` of order k = n / gcd(e, n) dividing
+    d that tame inertia can take at a prime p = u mod n, each as payload e,
+    class exponent e and cost n - gcd(e, n).  Frobenius conjugates a
+    generator of tame inertia to its p-th power, so its image e must
+    satisfy p e = Frob(e): under the cyclotomic action on mu_n
+    (``twisted``) Frob(e) = p e, and every sector passes; under the trivial
+    action on Z/nZ Frob(e) = e, so (p - 1) e = 0 mod n, that is k | u - 1.
+    """
+    return tuple(tuple((e, e, j) for e, j in sectors(n).entries
+                       if d % (k := n // math.gcd(e, n)) == 0 and (twisted or (u - 1) % k == 0))
+                 if math.gcd(u, n) == 1 else () for u in range(n))
 
 
 def _walk(local: LocalTypes, disc_bound: int):
@@ -216,11 +236,12 @@ def enumerate_mu(n: int, Bmax: float,
 
     The tame part of a class is a support walked by ``_walk``: a tame
     prime p admits every exponent e in 1..n-1, the twisted sectors of
-    ``heights.sectors``, at a cost of p^(n - gcd(e, n)).  Beside each
-    support go the sign and the wild patterns (an exponent at each p | n)
-    that ``_mu_types`` lists at the tame part's class, cheapest first, up
-    to the first past the cap: within one support the stream runs cheapest
-    wild pattern first.  No caller depends on that order.
+    ``heights.sectors`` (``_tame_types`` under the cyclotomic action), at
+    a cost of p^(n - gcd(e, n)).  Beside each support go the sign and the
+    wild patterns (an exponent at each p | n) that ``_mu_types`` lists at
+    the tame part's class, cheapest first, up to the first past the cap:
+    within one support the stream runs cheapest wild pattern first.  No
+    caller depends on that order.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -254,8 +275,9 @@ def _wild_patterns(n: int) -> list[tuple[int, int, int, tuple[tuple[int, int], .
 @cache
 def _mu_types(n: int, ordering: str, within: tuple = ()) -> LocalTypes:
     """The local types of Bmu_n under ``ordering``: at every tame residue
-    the twisted sectors of ``heights.sectors``, an exponent e of payload e
-    and cost n - gcd(e, n).  M is n^2 where ``ordering`` measures the wild
+    every twisted sector of ``heights.sectors``, as ``_tame_types`` gives
+    it under the cyclotomic action, an exponent e of payload e and cost
+    n - gcd(e, n).  M is n^2 where ``ordering`` measures the wild
     primes (n in {2, 3}, not disc_tame), else 1.  At each unit c mod M the
     wild rows are every (cost, pattern, sign) of ``_wild_patterns`` beside a
     tame part of class c, cheapest first, in ``_wild_patterns`` order among
@@ -263,14 +285,16 @@ def _mu_types(n: int, ordering: str, within: tuple = ()) -> LocalTypes:
     are not measured.  ``within``, a tuple of restrictions of
     ``kummer._reducible``, keeps the classes in all of them: each
     restriction is a condition on every exponent and on the sign alone, so
-    the record keeps the tame types and the wild rows that meet it.
+    the record keeps the tame types and the wild rows that meet it.  On a
+    tame exponent e, q | e says that its order k divides n/q, so the
+    record takes the tame types of order dividing n / lcm of the
+    restrictions' q.
     """
     M = n * n if ordering != "disc_tame" and n in EXACT_WILD_DEGREES else 1
-    tame = tuple((e, e, j) for e, j in sectors(n).entries if all(e % q == 0 for q, _, _ in within))
     wild = [(s, w, v, pat) for s, w, v, pat in _wild_patterns(n)
             if all(s in signs and all(dict(pat).get(p, 0) % q == r2 * (p == 2)
                                       for p in _primes_of(n)) for q, r2, signs in within)]
-    return LocalTypes(n, tuple(tame if math.gcd(u, n) == 1 else () for u in range(n)), M,
+    return LocalTypes(n, _tame_types(n, n // math.lcm(*(q for q, _, _ in within)), True), M,
                       tuple(tuple(sorted(((n ** wild_exponent(n, s * w * c, v) if M > 1 else 1,
                                            pat, s) for s, w, v, pat in wild),
                                          key=lambda row: row[0]))
@@ -323,33 +347,34 @@ def _local_characters(p: int, n: int) -> list[tuple[tuple[tuple[int, ...], int, 
 
 @cache
 def _cyclic_types(n: int, d: int) -> LocalTypes:
-    """The local characters into Z/nZ of order dividing d, each with its
-    values on the generators of the local unit group as payload.  A tame
-    prime p = u mod n admits the values c on the generator of (Z/p)^x whose
+    """The local characters into Z/nZ of order dividing d.  A tame prime
+    p = u mod n admits the types ``_tame_types`` gives under the trivial
+    action: the values c on the generator of (Z/p)^x, as payload, whose
     order k = n / gcd(n, c) divides both d and p - 1 (the Galois twist),
     at a cost of p^(n - n/k).  M is 1: the one class's wild rows are every
     choice of a character of ``_local_characters`` or none at each p | n,
+    with its values on the generators of the local unit group as payload,
     tagged by their share of the conductor.
     """
-    types = tuple(tuple(((c,), 0, n - n // k) for c in range(1, n) for k in [n // math.gcd(n, c)]
-                        if d % k == 0 == (u - 1) % k) if math.gcd(u, n) == 1 else ()
-                  for u in range(n))
     rows = [(1, (), 1)]
     for p in _primes_of(n):
         rows += [(cost * p**e, pairs + ((p, values),), f * q) for cost, pairs, f in rows
                  for (values, q, k), e in _local_characters(p, n) if d % k == 0]
-    return LocalTypes(n, types, 1, (tuple(sorted(rows, key=lambda row: row[0])),))
+    return LocalTypes(n, _tame_types(n, d, False), 1,
+                      (tuple(sorted(rows, key=lambda row: row[0])),))
 
 
 def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     """Stream cyclic degree-n extensions of Q with |disc| <= Bmax, once each.
 
     Characters chi into Z/nZ are supports walked by ``_walk`` over the
-    local characters of ``_cyclic_types(n, n)``: a tame prime p admits a
-    character of order k only when k | p - 1, at a cost of p^(n - n/k), and
-    the wild primes p | n carry the characters of ``_local_characters``.
-    A character's values are its pairs' payloads in prime order; it is
-    kept when its order is exactly n, once per Aut(Z/nZ) orbit.  The
+    local characters of ``_cyclic_types(n, n)``: a tame prime p admits the
+    sectors of ``heights.sectors`` that ``_tame_types`` admits under the
+    trivial action, one of order k only when k | p - 1, at a cost of
+    p^(n - n/k), and the wild primes p | n carry the characters of
+    ``_local_characters``.  A character's values are its pairs' payloads
+    in prime order, a tame prime's one value c and a wild prime's tuple;
+    it is kept when its order is exactly n, once per Aut(Z/nZ) orbit.  The
     discriminant is prod_{j=1}^{n-1} cond(chi^j).  The stream is in support
     order, not conductor order.
     """
@@ -364,7 +389,7 @@ def enumerate_cyclic(n: int, Bmax: float) -> Iterator[tuple[CyclicField, int]]:
     fixing = {c: [u for u in unit_group(n) if u % (n // c) == 1 and u != 1]
               for c in range(1, n) if n % c == 0}
     for pairs, f, d in _walk(_cyclic_types(n, n), disc_bound):
-        v = sum([values for _, values in pairs], ())
+        v = sum([(x,) if n % p else x for p, x in pairs], ())  # a tame prime's one value
         # order n / gcd(n, v) exactly n, one character per Aut(Z/nZ) orbit
         if math.gcd(n, *v) == 1 and n % (c := next(filter(None, v))) == 0 \
                 and all(tuple(u * x % n for x in v) >= v for u in fixing[c]):
@@ -538,13 +563,15 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
     m, L, C = plan.m, plan.L, plan.C
     zmax = _int_root(bound, m) if m > 1 and bound else bound  # exact, past int64 too
     Z = max(math.isqrt(zmax), min(zmax, _TABLE)) if plan.mobius_path else zmax
-    # peak memory per sieve entry, measured: 6-11 bytes on the Mobius path
-    # (mu, its int32 Mertens sums and the batch past the table; the sieve
-    # itself holds 5), where the guard keeps 32 a class; with class rows 5
-    # for the sieve and 8 a row for V, then per live d (up to 0.56 of the
-    # entries, 6/pi^2 less the d that share a prime with n) its first
-    # round's arrays: 28-43 bytes in all for one row (mu_11 and mu_7 the
-    # most), 93 for C = 3, where the guard keeps 16 + 32 C
+    # peak memory per sieve entry, tracemalloc over Z + 1: on the Mobius
+    # path 5.7-14.5 bytes (mu, its int32 running sums and the batch past
+    # the table; the sieve itself holds 5), the most where the table is
+    # small (9.6 for mu:2 T disc_exact to 1e12, 5.7 to 1e14), where the
+    # guard keeps 16 whatever C; with class rows 5 for the sieve and 8 a
+    # row for V, then per live d (up to 0.56 of the entries, 6/pi^2 less
+    # the d that share a prime with n) its first round's arrays: 28-43
+    # bytes in all for one row (mu_11 and mu_7 the most), 93 for C = 3,
+    # where the guard keeps 16 + 32 C
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
     def guard(nbytes: int) -> None:  # before nbytes are allocated
@@ -552,7 +579,7 @@ def _count_types(local: LocalTypes, caps: list[int]) -> list[int]:
             raise ValueError(f"|disc| cap {top} needs more than physical memory")
 
     # the table, sieved last, is counted first
-    guard(held := (Z + 1) * (32 * C if plan.mobius_path else 16 + 32 * C))
+    guard(held := (Z + 1) * (16 if plan.mobius_path else 16 + 32 * C))
     dtype = np.int64 if top < _INT64_TOP else object
     # bytes per support the sweep keeps and per (cap, term) pair, from
     # tracemalloc peaks over mu:4 tame and mu:12 darda ladders: a support

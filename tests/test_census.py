@@ -751,11 +751,12 @@ def test_count_mu_darda_boundaries(n):
 @pytest.mark.parametrize("n", [7, 9, 11, 12])
 def test_count_past_the_int64_range_matches_enumerate_mu(n):
     # a ladder whose top |disc| cap reaches 2^62 counts in Python ints, T
-    # and M alike, and its lower rungs agree with the stream too
-    stream = list(enumerate_mu(n, 2.0**62, "disc_tame"))
-    for counter, keep in (("T", lambda cls: True), ("M", is_irreducible)):
+    # and M alike, and its lower rungs agree with the stream too; the
+    # stream is kept as (measure, irreducible) pairs, not as classes
+    stream = [(m, is_irreducible(cls)) for cls, m in enumerate_mu(n, 2.0**62, "disc_tame")]
+    for counter, keep in (("T", lambda irreducible: True), ("M", bool)):
         ladder = count(LadderSpec(("mu", n), counter, "disc_tame", b0=2.0**56, doublings=6))
-        measures = sorted(m for cls, m in stream if keep(cls))
+        measures = sorted(m for m, irreducible in stream if keep(irreducible))
         want = tuple((B, bisect.bisect_right(measures, B)) for B, _ in ladder.points)
         assert ladder.points == want
     assert census._disc_bound(ladder.points[-1][0], n, "disc_tame") >= census._INT64_TOP
@@ -861,6 +862,7 @@ def test_ladder_csv_roundtrip(tmp_path):
     ladder.to_csv(str(path))
     back = CountLadder.from_csv(str(path))
     assert back.points == ladder.points
+    assert (back.target, back.counter, back.ordering) == ("?", "?", "?")  # the CSV holds no labels
 
 
 def test_ladder_csv_rejects_b_not_rising(tmp_path):
@@ -926,12 +928,14 @@ def test_fit_json():
 
 # ladders whose memory is the h sweep's supports and their (cap, term)
 # pairs: mu_4 in int64, mu_12 darda and mu_6 M darda (restricted records)
-# past 2^62 in Python ints; and one whose memory is a class row, mu_7 darda
+# past 2^62 in Python ints; one whose memory is a class row, mu_7 darda;
+# and one whose memory is the Mobius table (Z = 10^6), mu_2
 @pytest.mark.parametrize("target,counter,ordering,top,doublings", [
     (("mu", 4), "T", "disc_tame", 1e16, 20),
     (("mu", 12), "T", "darda", 3.0, 10),
     (("mu", 6), "M", "darda", 11.0, 10),
     (("mu", 7), "T", "darda", 6.0, 8),
+    (("mu", 2), "T", "disc_exact", 1e12, 20),
 ])
 def test_memory_guard_covers_the_traced_peak(monkeypatch, target, counter, ordering, top,
                                              doublings):

@@ -2,7 +2,7 @@
 queries return, so that two checkouts can be compared entry by entry.  A
 correctness check, not a benchmark: nothing is timed.
 
-The census section has four kinds of entries:
+The census section has five kinds of entries:
 
 - ``count()`` for every ``FAST_COUNTERS`` key, on the ladders b0 * 2^i of
   ``LADDERS``: the counts, or the exception's type and message;
@@ -13,7 +13,14 @@ The census section has four kinds of entries:
   takes (disc_tame and darda past n = 3), at the |disc| caps of
   ``ENUM_CAPS``: the sorted multiset of (a, measure) pairs;
 - ``enumerate_cyclic(n, B)`` for n = 2..12 at the bounds of
-  ``CYCLIC_BOUNDS``: the sorted (conductor, character, |disc|) triples.
+  ``CYCLIC_BOUNDS``: the sorted (conductor, character, |disc|) triples;
+- every census record for n = 2..12: ``_mu_types(n, ordering, within)``
+  under every ordering ``enumerate_mu`` takes, over the empty restriction
+  and every intersection of the sets of ``kummer._reducible(n)``, and
+  ``_cyclic_types(n, d)`` for each d | n.  Its entry is M, then at each
+  unit residue u mod n the sorted (cost, class exponent mod M) of its tame
+  types, then at each unit class mod M its wild costs in their order.  The
+  payloads are left out, so a record may change their shape.
 
 The kummer section takes seeded a of 8, 20, 40 and 62 bits, products of two
 31-bit primes and powers of 6-bit numbers, each of either sign.  Its
@@ -45,9 +52,11 @@ The cyclotomic section takes m = 1..120, 420 and 840.  Its entries are
 and for the explicit generator list ``CYCLOTOMIC_GENERATORS`` (or the
 exception it raises).
 
-It prints one sha256 digest per section; ``--dump`` prints the entries
-themselves first, one per line, so that two dumps can be compared with
-``diff``.  The census section runs twice in the one process: first cold,
+It prints one sha256 digest per section, and for the census section also
+the digest of its entries before the records, so that a checkout whose
+records differ can still be compared on its counts and streams; ``--dump``
+prints the entries themselves first, one per line, so that two dumps can
+be compared with ``diff``.  The census section runs twice in the one process: first cold,
 each counter building its records' plans, then warm, reading the plans
 the first pass built and grew; the tool exits non-zero if the two digests
 differ.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
@@ -56,6 +65,7 @@ differ.  Run from anywhere: ``python tools/diff_outputs.py [--dump]``.
 import argparse
 import hashlib
 import itertools
+import math
 import pathlib
 import random
 import sys
@@ -65,12 +75,12 @@ import sympy
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from stacky.arith import cyclotomic_image, factor  # noqa: E402
-from stacky.census import (FAST_COUNTERS, ORDERINGS, LadderSpec, count,  # noqa: E402
-                           enumerate_cyclic, enumerate_mu)
+from stacky.census import (FAST_COUNTERS, ORDERINGS, LadderSpec, _cyclic_types,  # noqa: E402
+                           _mu_types, count, enumerate_cyclic, enumerate_mu)
 from stacky.heights import (D_aprime, a_eszb_closed, darda_denominator,  # noqa: E402
                             darda_global, darda_local, edd, eszb_height, raising_height)
-from stacky.kummer import (EXACT_WILD_DEGREES, canonical, discriminant,  # noqa: E402
-                           is_irreducible)
+from stacky.kummer import (EXACT_WILD_DEGREES, _reducible, canonical,  # noqa: E402
+                           discriminant, is_irreducible)
 from stacky.malle import group_preset, malle_invariants, signature_for_field  # noqa: E402
 from stacky.permgrp import closure, conjugacy_classes, parse_group_spec  # noqa: E402
 
@@ -143,6 +153,30 @@ def census_entries():
     for n, B in CYCLIC_BOUNDS.items():
         fields = sorted((f.conductor, f.character, f.disc) for f, _ in enumerate_cyclic(n, B))
         yield f"enumerate_cyclic {n} {B!r}", fields
+
+
+def _record(local):
+    """A census record without its payloads: M, the sorted (cost, class
+    exponent mod M) of the tame types at each unit residue mod n, and the
+    wild costs of each unit class mod M."""
+    n, types, M, wild = local
+    tame = [(u, sorted((j, e % M) for _, e, j in types[u]))
+            for u in range(n) if math.gcd(u, n) == 1]
+    return M, tame, [(c, [cost for cost, _, _ in wild[c]]) for c in range(M) if math.gcd(c, M) == 1]
+
+
+def record_entries():
+    for n in range(2, 13):
+        sets = _reducible(n)
+        for ordering in ORDERINGS:
+            if ordering == "disc_exact" and n not in EXACT_WILD_DEGREES:
+                continue
+            for k in range(len(sets) + 1):
+                for within in itertools.combinations(sets, k):
+                    local = _mu_types(n, ordering, within)
+                    yield f"record mu {n} {ordering} {within}", _record(local)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            yield f"record cyclic {n} {d}", _record(_cyclic_types(n, d))
 
 
 def _height(h):
@@ -228,29 +262,37 @@ def cyclotomic_entries():
             yield f"cyclotomic {m} {field}", _recorded(lambda: cyclotomic_image(m, field).units)
 
 
-SECTIONS = {"census": census_entries, "kummer": kummer_entries, "permgrp": permgrp_entries,
-            "factor": factor_entries, "cyclotomic": cyclotomic_entries}
+# each section's parts, in order
+SECTIONS = {"census": (census_entries, record_entries), "kummer": (kummer_entries,),
+            "permgrp": (permgrp_entries,), "factor": (factor_entries,),
+            "cyclotomic": (cyclotomic_entries,)}
 
 
-def section_digest(section_entries, dump: bool) -> str:
-    digest = hashlib.sha256()
-    for name, value in section_entries():
-        line = f"{name}: {value}"
-        digest.update(line.encode() + b"\n")
-        if dump:
-            print(line, flush=True)
-    return digest.hexdigest()
+def section_digests(parts, dump: bool) -> list[str]:
+    """The sha256 digest of a section's entries up to the end of each of its
+    parts: the last is the whole section's."""
+    digest, out = hashlib.sha256(), []
+    for part in parts:
+        for name, value in part():
+            line = f"{name}: {value}"
+            digest.update(line.encode() + b"\n")
+            if dump:
+                print(line, flush=True)
+        out.append(digest.hexdigest())
+    return out
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", action="store_true", help="print every entry before the digest")
     args = parser.parse_args()
-    for section, section_entries in SECTIONS.items():
-        digest = section_digest(section_entries, args.dump)
+    for section, parts in SECTIONS.items():
+        *heads, digest = section_digests(parts, args.dump)
         print(f"{section} sha256 {digest}", flush=True)
-        if section == "census" and (warm := section_digest(section_entries, False)) != digest:
-            sys.exit(f"census sha256 {warm} on the warm pass, {digest} on the cold one")
+        if section == "census":
+            print(f"census sha256 without the records {heads[0]}", flush=True)
+            if (warm := section_digests(parts, False)[-1]) != digest:
+                sys.exit(f"census sha256 {warm} on the warm pass, {digest} on the cold one")
 
 
 if __name__ == "__main__":
