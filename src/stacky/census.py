@@ -479,18 +479,21 @@ class _Plan:
 
     def prime_table(self, disc_bound: int) -> tuple[list, int]:
         """The walk's entries for the primes p with a tame type, ascending:
-        (p^m, [((p, payload), p^e mod M, p^j) per type]), grown to the primes
+        (p^m, ((p, payload), p^e mod M, p^j) per type), grown to the primes
         the cap disc_bound can reach, and how many of them have p^m <=
         disc_bound.  A cap whose primes pass the sieve limit raises
-        ValueError naming it before anything is sieved."""
+        ValueError naming it before anything is sieved.  An entry's p^j
+        is its p^m object where j = m."""
         (n, types, M, _), m, (limit, primes) = self.local, self.m, self.table
         need = int(disc_bound ** (1.0 / m)) + 2 if m else 0  # m = 0: no tame type
         if need >= 2**31:
             raise ValueError(f"|disc| cap {disc_bound} needs primes past the sieve limit 2^31")
         if need > limit:
             # a new list: a walk already running keeps reading its own
-            primes = primes + [(p**m, [((p, t), pow(p, e, M), p**j) for t, e, j in ts])
-                               for p in primes_up_to(need) if p > limit and (ts := types[p % n])]
+            primes = primes + [(pm, tuple(((p, t), pow(p, e, M), pm if j == m else p**j)
+                                          for t, e, j in ts))
+                               for p in primes_up_to(need)
+                               if p > limit and (ts := types[p % n]) and (pm := p**m)]
             self.table = need, primes
         return primes, bisect.bisect_right(primes, disc_bound, key=lambda entry: entry[0])
 

@@ -3,11 +3,17 @@
 Groups here are small (the largest preset, S8, has 40320 elements), so a
 group keeps all its elements, as a (|G|, n) array of small-int images.
 
-* ``closure`` multiplies breadth-first, one frontier at a time: a single
-  fancy-indexing step forms every product of the frontier with the
-  generators.  Each row of images packs into one key, and a set of the
-  keys seen so far keeps each product the first time it appears.
-  Products of valid permutations are not checked again.
+* ``closure`` multiplies breadth-first, one frontier at a time.  Each
+  element is the bytes of its row of 0-based images (uint8 up to degree
+  255, uint16 from 256); those bytes are its key in the set of elements
+  seen, which keeps each product the first time it appears, and the rows
+  are one buffer of them all.  A narrow layer of uint8 rows (fewer than
+  ``_NARROW`` products) is multiplied in plain Python, one
+  ``bytes.translate`` per product; a wide one, or any of uint16 rows, by
+  a single numpy gather, whose keys are read off a void view.  Both stay:
+  a long, thin Cayley graph (C_n has n - 1 layers of one element) pays
+  numpy's fixed cost per layer, and a wide layer (S7, S8) is faster
+  gathered.  Products of valid permutations are not checked again.
 * Conjugation by a generator permutes the element positions.  The
   conjugated rows are all of G, so their keys sort to the sorted element
   keys: one argsort of them gives every position (the k-th smallest
@@ -52,6 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10**6
+# closure layers with fewer products than this, of uint8 rows, are multiplied
+# in plain Python, by bytes.translate; wider ones by one numpy gather
+_NARROW = 64
 
 
 @dataclass(frozen=True)
@@ -300,6 +309,13 @@ def closure(generators: list[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
 
     Elements appear in the order of the plain loop "for x in frontier: for g
     in generators: x * g", keeping each product the first time it is seen.
+    An element is the bytes of its 0-based image row, in the rows' dtype
+    (``np.min_scalar_type(degree)``), and those bytes are its key.  A layer
+    of fewer than ``_NARROW`` products of uint8 rows translates each
+    generator's bytes by x padded to 256 bytes, which is x * g; any other
+    layer gathers every product in one numpy step.  The returned rows are
+    read-only.  A layer that takes the element count past ``cap`` raises
+    ValueError.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -307,22 +323,27 @@ def closure(generators: list[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
     for g in generators:
         if g.degree != degree:
             raise ValueError("generators must share a degree")
+    dtype = np.min_scalar_type(degree)
     gens0 = np.array([g.images for g in generators], dtype=np.intp)
     gens0 = gens0.reshape(len(generators), degree) - 1
-    frontier = np.arange(degree, dtype=np.min_scalar_type(degree)).reshape(1, degree)
-    blocks = [frontier]
-    seen = set(_row_keys(frontier).tolist())  # keys of every element found so far
-    while len(frontier):
-        # row k * len(generators) + j holds frontier[k] * generators[j]
-        prods = frontier[:, gens0].reshape(len(frontier) * len(gens0), degree)
-        # the rows whose key appears for the first time, in product order
-        new = [i for i, k in enumerate(_row_keys(prods).tolist()) if k not in seen and not seen.add(k)]
+    gbytes = [g.astype(dtype).tobytes() for g in gens0]
+    pad = bytes(256 - degree) if dtype == np.uint8 else None
+    found = [np.arange(degree, dtype=dtype).tobytes()]  # every element, in closure order
+    seen, frontier = set(found), found
+    while frontier:
+        if pad is not None and len(frontier) * len(gbytes) < _NARROW:
+            # x * g maps i to x[g[i]]: g's bytes translated by the table x
+            prods = [g.translate(t) for t in (x + pad for x in frontier) for g in gbytes]
+        else:
+            # row k * len(generators) + j holds frontier[k] * generators[j]
+            rows = np.frombuffer(b"".join(frontier), dtype).reshape(len(frontier), degree)
+            prods = rows.take(gens0, axis=1).view(f"V{dtype.itemsize * degree}").ravel().tolist()
+        frontier = [y for y in prods if y not in seen and not seen.add(y)]
         if len(seen) > cap:
             raise ValueError(f"group exceeds element cap {cap}")
-        frontier = prods[new]
-        blocks.append(frontier)
-    rows = np.concatenate(blocks)
-    rows.flags.writeable = False  # the cached lookup and classes depend on it
+        found += frontier
+    # a view of immutable bytes, so read-only, as the cached lookup and classes need
+    rows = np.frombuffer(b"".join(found), dtype).reshape(len(found), degree)
     return PermGroup(degree, tuple(generators), rows)
 
 

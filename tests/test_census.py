@@ -932,7 +932,7 @@ def test_fit_json():
 # and one whose memory is the Mobius table (Z = 10^6), mu_2
 @pytest.mark.parametrize("target,counter,ordering,top,doublings", [
     (("mu", 4), "T", "disc_tame", 1e16, 20),
-    (("mu", 12), "T", "darda", 3.0, 10),
+    (("mu", 12), "T", "darda", 2.95, 10),
     (("mu", 6), "M", "darda", 11.0, 10),
     (("mu", 7), "T", "darda", 6.0, 8),
     (("mu", 2), "T", "disc_exact", 1e12, 20),

@@ -165,11 +165,34 @@ def test_closure_orders():
 def test_closure_cap():
     with pytest.raises(ValueError):
         closure(parse_group_spec("(1 2); (1 2 3 4 5 6 7 8)"), cap=100)
-    # the cap bounds the order itself: |G| elements pass, one fewer raises
-    for spec, order in (("(1 2); (1 2 3 4)", 24), (DIHEDRAL_20, 40)):
-        assert closure(parse_group_spec(spec), cap=order).order == order
+    # the cap bounds the order itself: |G| elements pass, one fewer raises;
+    # S7's last layers are wide, S4's and D20's narrow
+    for gens, order in ((parse_group_spec("(1 2); (1 2 3 4)"), 24),
+                        (parse_group_spec(DIHEDRAL_20), 40), (group_preset("symmetric:7"), 5040)):
+        assert closure(gens, cap=order).order == order
         with pytest.raises(ValueError, match="cap"):
-            closure(parse_group_spec(spec), cap=order - 1)
+            closure(gens, cap=order - 1)
+
+
+def _dihedral(n: int) -> list[Permutation]:
+    """The n-cycle and the reflection fixing point 1."""
+    reflection = [(i, n + 2 - i) for i in range(2, (n + 1) // 2 + 1)]
+    return [from_cycles([tuple(range(1, n + 1))], n), from_cycles(reflection, n)]
+
+
+# S7 closes in narrow layers first, then wide ones; rows are uint8 up to
+# degree 255 and uint16 from 256, where every layer is a numpy gather
+@pytest.mark.parametrize("gens", [
+    pytest.param(group_preset("symmetric:7"), id="symmetric:7"),
+    *(pytest.param(_dihedral(n), id=f"dihedral:{n}") for n in (255, 256, 300)),
+    pytest.param([identity(1)], id="trivial:1"),
+])
+def test_closure_rows_match_the_bfs_oracle(gens):
+    G = closure(gens)
+    want = np.array(bfs_elements([g.images for g in gens])) - 1
+    assert G.rows.dtype == (np.uint8 if G.degree <= 255 else np.uint16)
+    assert np.array_equal(G.rows, want)
+    assert not G.rows.flags.writeable
 
 
 def test_index():

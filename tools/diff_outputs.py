@@ -42,8 +42,8 @@ off; primes in (2^10, 2^16] times primes past 2^63; and powers of 16-bit
 and 31-bit primes up to 91 bits.  Its entries are ``factor(m)``.
 
 The permgrp section closes every group preset (cyclic_regular:2..30,
-symmetric:2..8, kluners_c3wrc2) and the dihedral groups of degree 20 and
-101, given in cycle notation.  Its entries are the closure rows, the class
+symmetric:2..8, kluners_c3wrc2) and the dihedral groups of degree 20, 101
+and 300, given in cycle notation.  Its entries are the closure rows, the class
 list (index, representative images, member positions), the exponent and
 ``malle_invariants`` over Q, Q(zeta_3) and Q(zeta_4).
 
@@ -109,10 +109,11 @@ KUMMER_SEMIPRIMES = 4
 # factor: FACTOR_DRAWS seeded m of each kind
 FACTOR_DRAWS = 12
 
-# permgrp: every preset, and dihedral groups past the 16-point packed keys
+# permgrp: every preset, and dihedral groups past the 16-point packed keys,
+# the last past the 255 points of uint8 rows
 GROUP_PRESETS = ([f"cyclic_regular:{n}" for n in range(2, 31)]
                  + [f"symmetric:{n}" for n in range(2, 9)] + ["kluners_c3wrc2"])
-DIHEDRAL_DEGREES = (20, 101)
+DIHEDRAL_DEGREES = (20, 101, 300)
 MALLE_FIELDS = ("Q", ("zeta", 3), ("zeta", 4))
 
 # cyclotomic images: the moduli, and the explicit generators, which 7 | m
